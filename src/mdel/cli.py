@@ -233,6 +233,11 @@ def main(argv: Optional[list] = None) -> int:
     except (CliError, ParseError, TraceError, IntervalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # a formula within the parser's nesting limit can still expand into
+        # a core formula too deep for the recursive compiler and evaluator
+        print("error: formula nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,17 +8,27 @@ a fixed order: by the number of removed atom occurrences ascending, then
 lexicographically by the removed occurrence positions (occurrences listed
 position-major with atoms sorted alphabetically); the first blocking model
 in that order is reported.
+
+All checks run on lane batches (:mod:`mdel.lanes`): the enumerator
+evaluates every total trace of one (lambda, tau) in one pass, and the
+minimality search runs in rounds, round r evaluating the r-th candidate of
+every model still open in one here batch whose there twin is that pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .formulas import Theory, compile_to_core
-from .semantics import Evaluator, HERE
-from .traces import TimedHTTrace, TraceBounds, enumerate_traces, trace_to_dict
+from .lanes import (
+    LaneBatch, grid_chunks, grid_columns, iter_lanes, lane_digits, trace_columns,
+)
+from .traces import (
+    TimedHTTrace, TraceBounds, _gap_grids, _state_table, trace_to_dict,
+)
 
 
 @dataclass(frozen=True)
@@ -45,46 +55,79 @@ def _compile_theory(theory: Theory):
     return tuple(compile_to_core(f) for f in theory.formulas)
 
 
-def _models_compiled(ev: Evaluator, compiled) -> bool:
-    if ev.lam == 0:
-        return not compiled
-    return all(ev.sat_mask(f, HERE) & 1 for f in compiled)
-
-
 def is_model(m: TimedHTTrace, theory: Theory) -> bool:
     """Modelhood: satisfaction of every theory formula at position 0.
 
     The empty trace has no position 0, so it models only the empty theory.
     """
-    return _models_compiled(Evaluator(m), _compile_theory(theory))
+    twin = None if m.is_total else LaneBatch(m.tau, trace_columns(m.there), 1)
+    batch = LaneBatch(m.tau, trace_columns(m.here), 1, twin=twin)
+    return bool(batch.models(_compile_theory(theory)))
 
 
-def _here_candidates(t: TimedHTTrace):
-    """All proper sub-here traces of a total trace, in the documented order."""
-    occurrences = [(i, a) for i, state in enumerate(t.there) for a in sorted(state)]
-    base = [set(state) for state in t.there]
+def _here_candidates(occurrences):
+    """All proper sub-here parts of a total trace, in the documented order.
+
+    ``occurrences`` lists the trace's atom occurrences ``(position, atom)``
+    position-major with atoms sorted; each candidate is the tuple of the
+    occurrences it removes.
+    """
     for removed in range(1, len(occurrences) + 1):
-        for combo in combinations(range(len(occurrences)), removed):
-            here = [set(s) for s in base]
-            for idx in combo:
-                i, a = occurrences[idx]
-                here[i].discard(a)
-            yield TimedHTTrace(t.alphabet, tuple(frozenset(s) for s in here),
-                               t.there, t.tau)
+        yield from combinations(occurrences, removed)
 
 
-def _equilibrium_check(t: TimedHTTrace, compiled, shared,
-                       twin: Optional[Evaluator] = None) -> EquilibriumVerdict:
-    twin = Evaluator(t, shared=shared) if twin is None else twin
-    if not _models_compiled(twin, compiled):
-        return EquilibriumVerdict("not-model", None, 0)
+def _minimality(total: LaneBatch, compiled, models: int,
+                occurrences: Callable[[int], list]) -> dict:
+    """The minimality search for every model lane of a total batch.
+
+    Round r evaluates, in one here batch over the same lanes with ``total``
+    as its twin, the r-th candidate of every model still open.  A lane that
+    is a model blocks its trace; a model whose candidates run out is an
+    equilibrium.  Returns ``{lane: (witnesses_checked, removed)}``, where
+    ``removed`` gives the first blocker's removed occurrences, or None.
+    """
+    verdicts = {}
+    pending = {lane: _here_candidates(occurrences(lane)) for lane in iter_lanes(models)}
     witnesses = 0
-    for candidate in _here_candidates(t):
+    while pending:
         witnesses += 1
-        ev = Evaluator(candidate, shared=shared, total_twin=twin)
-        if _models_compiled(ev, compiled):
-            return EquilibriumVerdict("blocked", candidate, witnesses)
-    return EquilibriumVerdict("equilibrium", None, witnesses)
+        cleared, combos, active = {}, {}, 0  # cleared: occurrence -> lanes
+        for lane, candidates in list(pending.items()):
+            combo = next(candidates, None)
+            if combo is None:
+                del pending[lane]
+                verdicts[lane] = (witnesses - 1, None)
+                continue
+            bit = 1 << lane
+            active |= bit
+            combos[lane] = combo
+            for occ in combo:
+                cleared[occ] = cleared.get(occ, 0) | bit
+        if not active:
+            break
+        columns = {a: [x & ~cleared.get((i, a), 0) for i, x in enumerate(col)]
+                   for a, col in total.columns.items()}
+        here = LaneBatch(total.tau, columns, total.full, twin=total, shared=total.shared)
+        for lane in iter_lanes(here.models(compiled, active)):
+            del pending[lane]
+            verdicts[lane] = (witnesses, combos[lane])
+    return verdicts
+
+
+def _equilibrium_check(t: TimedHTTrace, compiled, shared: dict) -> EquilibriumVerdict:
+    """Check one total trace; ``shared`` caches lane-independent tables across calls."""
+    total = LaneBatch(t.tau, trace_columns(t.there), 1, shared=shared)
+    if not total.models(compiled):
+        return EquilibriumVerdict("not-model", None, 0)
+    occurrences = [(i, a) for i, state in enumerate(t.there) for a in sorted(state)]
+    witnesses, removed = _minimality(total, compiled, 1, lambda lane: occurrences)[0]
+    if removed is None:
+        return EquilibriumVerdict("equilibrium", None, witnesses)
+    here = [set(state) for state in t.there]
+    for i, a in removed:
+        here[i].discard(a)
+    blocker = TimedHTTrace(t.alphabet, tuple(frozenset(s) for s in here), t.there, t.tau)
+    return EquilibriumVerdict("blocked", blocker, witnesses)
 
 
 def is_equilibrium(t: TimedHTTrace, theory: Theory) -> EquilibriumVerdict:
@@ -94,24 +137,56 @@ def is_equilibrium(t: TimedHTTrace, theory: Theory) -> EquilibriumVerdict:
     return _equilibrium_check(t, _compile_theory(theory), {})
 
 
+def _grid_batches(bounds: TraceBounds, total_only: bool):
+    """One batch per lane chunk of every (lambda, tau), in enumeration order.
+
+    Yields ``(batch, digits)``, where ``digits(lane)`` gives the lane's index
+    into ``_state_table(bounds.alphabet, total_only)`` at every position.
+    """
+    table = _state_table(bounds.alphabet, total_only)
+    here = [h for h, _ in table]
+    there = [t for _, t in table]
+    shared: dict = {}
+    for lam in range(bounds.lambda_max + 1):
+        # the columns depend on the length only, not on tau
+        chunks = [(partial(lane_digits, prefix, suffix, len(table)),
+                   grid_columns(here, prefix, suffix),
+                   None if total_only else grid_columns(there, prefix, suffix)[0])
+                  for prefix, suffix in grid_chunks(len(table), lam)]
+        for tau in _gap_grids(lam, bounds.max_gap):
+            for digits, (columns, full), there_columns in chunks:
+                twin = (None if there_columns is None
+                        else LaneBatch(tau, there_columns, full, shared=shared))
+                yield LaneBatch(tau, columns, full, twin=twin, shared=shared), digits
+
+
 def enumerate_equilibrium(theory: Theory, bounds: TraceBounds) -> Iterator[EquilibriumResult]:
     """All equilibrium models within bounds, grouped by ascending length."""
     if not theory.alphabet <= bounds.alphabet:
         raise ValueError("theory alphabet must be contained in the search alphabet")
     compiled = _compile_theory(theory)
-    shared = {}
-    total_bounds = TraceBounds(bounds.alphabet, bounds.lambda_max,
-                               bounds.max_gap, total_only=True)
-    for t in enumerate_traces(total_bounds):
-        verdict = _equilibrium_check(t, compiled, shared)
-        if verdict.status == "equilibrium":
-            yield EquilibriumResult(t, t.length, verdict.witnesses_checked)
+    states = [s for s, _ in _state_table(bounds.alphabet, total_only=True)]
+    atoms = [sorted(s) for s in states]
+    for total, digits in _grid_batches(bounds, total_only=True):
+        def occurrences(lane, digits=digits):
+            return [(i, a) for i, d in enumerate(digits(lane)) for a in atoms[d]]
+
+        models = total.models(compiled)
+        verdicts = _minimality(total, compiled, models, occurrences)
+        for lane in iter_lanes(models):
+            witnesses, removed = verdicts[lane]
+            if removed is None:  # only equilibria become trace objects
+                there = tuple(states[d] for d in digits(lane))
+                model = TimedHTTrace(bounds.alphabet, there, there, total.tau)
+                yield EquilibriumResult(model, total.lam, witnesses)
 
 
 def iter_models(theory: Theory, bounds: TraceBounds) -> Iterator[TimedHTTrace]:
     """All HT-traces within bounds that model the theory (not just total ones)."""
     compiled = _compile_theory(theory)
-    shared = {}
-    for m in enumerate_traces(bounds):
-        if _models_compiled(Evaluator(m, shared=shared), compiled):
-            yield m
+    table = _state_table(bounds.alphabet, bounds.total_only)
+    for batch, digits in _grid_batches(bounds, bounds.total_only):
+        for lane in iter_lanes(batch.models(compiled)):
+            states = [table[d] for d in digits(lane)]
+            yield TimedHTTrace(bounds.alphabet, tuple(h for h, _ in states),
+                               tuple(t for _, t in states), batch.tau)

@@ -5,6 +5,10 @@ temporal operators ``until/since/release/trigger`` (right-assoc), unary
 prefixes (``!``, the unary metric operators, ``<RHO>`` and ``[RHO]``), then
 primaries.  Intervals after an operator are optional and default to
 ``(-w..w)``.  In path position a bare formula ``f`` abbreviates ``(f? ; step)``.
+
+Nesting is limited to :data:`MAX_NESTING` levels, so that deep input is
+refused with a :class:`ParseError` instead of exhausting the interpreter's
+stack in the parser, the compiler or the evaluator, which all recurse.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ _UNARY_OPS = {
     "evp": F.EvPast,
     "alwp": F.AlwPast,
 }
+
+# Each operand of an operator, each bracketed or parenthesized part and each
+# further operand of a chain such as ``a & b & c`` opens one more level.
+MAX_NESTING = 100
 
 _BINARY_OPS = {"until": F.Until, "since": F.Since, "release": F.Release, "trigger": F.Trigger}
 
@@ -65,6 +73,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0
         self.alphabet = alphabet
+        self.depth = 0
 
     # -- token helpers -----------------------------------------------------
 
@@ -88,6 +97,29 @@ class _Parser:
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.toks[self.i][2])
+
+    def enter(self) -> None:
+        if self.depth >= MAX_NESTING:
+            raise self.error(f"formula nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+
+    def nested(self, parse):
+        """Run a sub-parser one nesting level further in."""
+        self.enter()
+        out = parse()
+        self.depth -= 1
+        return out
+
+    def chain(self, first, op: str, parse, ctor):
+        """A left-associative chain ``first op x op y ...``."""
+        left, levels = first, 0
+        while self.at(op):
+            self.take()
+            self.enter()
+            levels += 1
+            left = ctor(left, parse())
+        self.depth -= levels
+        return left
 
     # -- intervals -----------------------------------------------------------
 
@@ -151,22 +183,14 @@ class _Parser:
         left = self.parse_or()
         if self.at("->"):
             self.take()
-            return F.Implies(left, self.parse_formula())
+            return F.Implies(left, self.nested(self.parse_formula))
         return left
 
     def parse_or(self) -> F.Formula:
-        left = self.parse_and()
-        while self.at("|"):
-            self.take()
-            left = F.Or(left, self.parse_and())
-        return left
+        return self.chain(self.parse_and(), "|", self.parse_and, F.Or)
 
     def parse_and(self) -> F.Formula:
-        left = self.parse_temporal()
-        while self.at("&"):
-            self.take()
-            left = F.And(left, self.parse_temporal())
-        return left
+        return self.chain(self.parse_temporal(), "&", self.parse_temporal, F.And)
 
     def parse_temporal(self) -> F.Formula:
         left = self.parse_unary()
@@ -174,7 +198,7 @@ class _Parser:
         if kind == "name" and val in _BINARY_OPS:
             self.take()
             iv = self.maybe_interval()
-            right = self.parse_temporal()
+            right = self.nested(self.parse_temporal)
             return _BINARY_OPS[val](iv, left, right)
         return left
 
@@ -182,26 +206,26 @@ class _Parser:
         kind, val, pos = self.peek()
         if val == "!":
             self.take()
-            return F.Not(self.parse_unary())
+            return F.Not(self.nested(self.parse_unary))
         if kind == "name" and val in _UNARY_OPS:
             self.take()
             iv = self.maybe_interval()
-            return _UNARY_OPS[val](iv, self.parse_unary())
+            return _UNARY_OPS[val](iv, self.nested(self.parse_unary))
         if val == "<":
             self.take()
-            path = self.parse_path()
+            path = self.nested(self.parse_path)
             self.expect(">")
             iv = self.maybe_interval()
-            return F.Diamond(path, iv, self.parse_unary())
+            return F.Diamond(path, iv, self.nested(self.parse_unary))
         if val == "[":
             if self._interval_ahead():
                 self.parse_interval()  # surfaces malformed-interval errors
                 raise ParseError("an interval must follow an operator", pos)
             self.take()
-            path = self.parse_path()
+            path = self.nested(self.parse_path)
             self.expect("]")
             iv = self.maybe_interval()
-            return F.Box(path, iv, self.parse_unary())
+            return F.Box(path, iv, self.nested(self.parse_unary))
         return self.parse_primary()
 
     def parse_primary(self) -> F.Formula:
@@ -220,7 +244,7 @@ class _Parser:
             return F.Atom(val)
         if val == "(":
             self.take()
-            inner = self.parse_formula()
+            inner = self.nested(self.parse_formula)
             self.expect(")")
             return inner
         raise self.error(f"expected a formula, found {val or 'end of input'!r}")
@@ -228,11 +252,11 @@ class _Parser:
     def parse_modal_call(self) -> F.Formula:
         _, name, _ = self.take()
         self.expect("(")
-        path = self.parse_path()
+        path = self.nested(self.parse_path)
         self.expect(",")
         iv = self.parse_interval()
         self.expect(",")
-        body = self.parse_formula()
+        body = self.nested(self.parse_formula)
         self.expect(")")
         ctor = F.Diamond if name == "diamond" else F.Box
         return ctor(path, iv, body)
@@ -240,30 +264,20 @@ class _Parser:
     # -- path expressions --------------------------------------------------------
 
     def parse_path(self) -> F.PathExpr:
-        left = self.parse_path_seq()
-        while self.at("+"):
-            self.take()
-            left = F.Choice(left, self.parse_path_seq())
-        return left
+        return self.chain(self.parse_path_seq(), "+", self.parse_path_seq, F.Choice)
 
     def parse_path_seq(self) -> F.PathExpr:
-        left = self.parse_path_postfix()
-        while self.at(";"):
-            self.take()
-            left = F.Seq(left, self.parse_path_postfix())
-        return left
+        return self.chain(self.parse_path_postfix(), ";", self.parse_path_postfix, F.Seq)
 
     def parse_path_postfix(self) -> F.PathExpr:
         p = self.parse_path_atom()
-        while True:
-            if self.at("*"):
-                self.take()
-                p = F.Star(p)
-            elif self.at("^-"):
-                self.take()
-                p = F.Converse(p)
-            else:
-                return p
+        levels = 0
+        while self.at("*") or self.at("^-"):
+            self.enter()
+            levels += 1
+            p = F.Star(p) if self.take()[1] == "*" else F.Converse(p)
+        self.depth -= levels
+        return p
 
     def parse_path_atom(self) -> F.PathExpr:
         kind, val, _ = self.peek()
@@ -271,13 +285,13 @@ class _Parser:
             self.take()
             return F.STEP
         # a formula here is either a test (trailing '?') or path sugar (f? ; step)
-        saved = self.i
+        saved = self.i, self.depth
         formula_err = None
         try:
-            f = self.parse_formula()
+            f = self.nested(self.parse_formula)
         except ParseError as exc:
             formula_err = exc
-            self.i = saved
+            self.i, self.depth = saved
         else:
             if self.at("?"):
                 self.take()
@@ -285,7 +299,7 @@ class _Parser:
             return F.formula_path(f)
         if self.at("("):
             self.take()
-            inner = self.parse_path()
+            inner = self.nested(self.parse_path)
             self.expect(")")
             return inner
         raise formula_err or self.error("expected a path expression")

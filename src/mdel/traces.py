@@ -80,6 +80,11 @@ def strictly_below(here: Sequence, there: Sequence) -> bool:
 # -- I/O -----------------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_trace(doc) -> TimedHTTrace:
     """Build a trace from the JSON schema (a dict or a JSON string)."""
     if isinstance(doc, (str, bytes)):
@@ -96,10 +101,14 @@ def load_trace(doc) -> TimedHTTrace:
     if not isinstance(alphabet, list) or not all(isinstance(a, str) for a in alphabet):
         raise TraceError("alphabet must be a list of atom names")
     lam = doc["lambda"]
+    if not _is_int(lam):
+        raise TraceError(f"lambda must be an integer, got {lam!r}")
     tau, there = doc["tau"], doc["there"]
     here = doc.get("here", there)
     if not (isinstance(tau, list) and isinstance(there, list) and isinstance(here, list)):
         raise TraceError("tau, here and there must be lists")
+    if not all(_is_int(t) for t in tau):
+        raise TraceError("tau entries must be integers")
     if not (len(tau) == len(there) == len(here) == lam):
         raise TraceError("lambda does not match the tau/here/there lengths")
     try:

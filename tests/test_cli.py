@@ -144,3 +144,34 @@ def test_laws_json_deterministic(files, capsys):
 def test_missing_file_exit_two(capsys):
     code, _, err = run(capsys, "check", "/nonexistent.mdel", "/nonexistent.json")
     assert code == 2
+
+
+def test_check_deep_nesting_exit_two(files, capsys):
+    trace = files("t.json", TRACE_43)
+    formula = files("f.mdel", "!" * 300 + "a\n")
+    code, out, err = run(capsys, "check", formula, trace)
+    assert (code, out) == (2, "")
+    assert "nested deeper" in err and "Traceback" not in err
+
+
+def test_recursion_error_exit_two(files, capsys, monkeypatch):
+    import mdel.cli
+
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(mdel.cli, "satisfies", too_deep)
+    trace = files("t.json", TRACE_43)
+    formula = files("f.mdel", "a\n")
+    code, out, err = run(capsys, "check", formula, trace)
+    assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
+
+
+@pytest.mark.parametrize("lam, tau", [(True, [0]), (2, [0.0, True])])
+def test_check_rejects_non_integer_trace_fields(files, capsys, lam, tau):
+    doc = {"alphabet": ["a", "b"], "lambda": lam, "tau": tau, "there": [["a"]] * len(tau)}
+    trace = files("t.json", json.dumps(doc))
+    formula = files("f.mdel", "a\n")
+    code, out, err = run(capsys, "check", formula, trace)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -1,12 +1,20 @@
+import random
+from itertools import combinations
+
 import pytest
 
+from mdel import lanes
 from mdel.equilibrium import (
     enumerate_equilibrium, is_equilibrium, is_model, iter_models, result_to_dict,
 )
 from mdel.formulas import Theory, compile_to_core
+from mdel.laws import random_theory
 from mdel.parser import parse_theory
+from mdel.semantics import HERE, Evaluator
 from mdel.sos import RESCALED, sos_theory
-from mdel.traces import TraceBounds, load_trace, make_trace
+from mdel.traces import (
+    TimedHTTrace, TraceBounds, enumerate_traces, load_trace, make_trace,
+)
 
 from naive_ref import naive_equilibrium_models
 
@@ -136,3 +144,90 @@ def test_iter_models_includes_ht_models():
     assert make_trace(A1, [{"a"}], [0]) in ms
     # <H,T> with H empty is not a model: ev a fails in the here world
     assert make_trace(A1, [{"a"}], [0], here=[set()]) not in ms
+
+
+# -- differential tests: the lane engine against one Evaluator per trace ----------
+
+def _reference_models(ev, compiled):
+    if ev.lam == 0:
+        return not compiled
+    return all(ev.sat_mask(f, HERE) & 1 for f in compiled)
+
+
+def _reference_check(t, compiled):
+    """Per-trace minimality search on semantics.Evaluator, candidate by candidate."""
+    twin = Evaluator(t)
+    if not _reference_models(twin, compiled):
+        return "not-model", None, 0
+    occurrences = [(i, a) for i, state in enumerate(t.there) for a in sorted(state)]
+    witnesses = 0
+    for removed in range(1, len(occurrences) + 1):
+        for combo in combinations(occurrences, removed):
+            witnesses += 1
+            here = [set(s) for s in t.there]
+            for i, a in combo:
+                here[i].discard(a)
+            candidate = TimedHTTrace(t.alphabet, tuple(frozenset(s) for s in here),
+                                     t.there, t.tau)
+            if _reference_models(Evaluator(candidate, total_twin=twin), compiled):
+                return "blocked", candidate, witnesses
+    return "equilibrium", None, witnesses
+
+
+AB = frozenset("ab")
+# theories whose equilibria need several rounds or block in late rounds
+HAND_THEORIES = [
+    "alw (!b -> a)", "!a -> b\n!b -> a", "a | b", "alw (a -> next b)\nev[1..2] a",
+    "a release [1..2] b", "alw (a | b)\n!(a & b) | final", "ev b\nalw (b -> prev a)",
+]
+
+
+def _random_theories(count, seed):
+    rng = random.Random(seed)
+    return [random_theory(rng, ["a", "b"][:rng.randint(1, 2)], 3, 3) for _ in range(count)]
+
+
+DIFFERENTIAL_THEORIES = [parse_theory(text, AB) for text in HAND_THEORIES] + _random_theories(20, 7)
+
+
+@pytest.mark.parametrize("theory", DIFFERENTIAL_THEORIES, ids=range(len(DIFFERENTIAL_THEORIES)))
+def test_lane_engine_matches_per_trace_reference(theory):
+    alphabet = theory.alphabet
+    compiled = [compile_to_core(f) for f in theory.formulas]
+    bounds = TraceBounds(alphabet, 3, 2, total_only=True)
+    want = []
+    for t in enumerate_traces(bounds):
+        status, blocker, witnesses = _reference_check(t, compiled)
+        got = is_equilibrium(t, theory)
+        assert (got.status, got.blocker, got.witnesses_checked) == (status, blocker, witnesses)
+        if status == "equilibrium":
+            want.append((t, t.length, witnesses))
+    got = [(r.model, r.lam, r.witnesses_checked)
+           for r in enumerate_equilibrium(theory, bounds)]
+    assert got == want
+
+    ht_bounds = TraceBounds(alphabet, 2, 2)
+    want_models = [m for m in enumerate_traces(ht_bounds)
+                   if _reference_models(Evaluator(m), compiled)]
+    assert list(iter_models(theory, ht_bounds)) == want_models
+
+
+@pytest.mark.parametrize("theory", DIFFERENTIAL_THEORIES[:4] + DIFFERENTIAL_THEORIES[-2:],
+                         ids=range(6))
+def test_lane_engine_matches_naive_oracle(theory):
+    compiled = [compile_to_core(f) for f in theory.formulas]
+    want = naive_equilibrium_models(compiled, sorted(theory.alphabet), 3, 2)
+    got = {(r.model.tau, r.model.there)
+           for r in enumerate_equilibrium(theory, TraceBounds(theory.alphabet, 3, 2))}
+    assert got == want
+
+
+def test_lane_chunks_keep_the_enumeration(monkeypatch):
+    theory = sos_theory(RESCALED)
+    bounds = TraceBounds(theory.alphabet, 3, 2)
+    whole = [(r.model, r.witnesses_checked) for r in enumerate_equilibrium(theory, bounds)]
+    whole_models = list(iter_models(EV_A, TraceBounds(A1, 3, 2)))
+    monkeypatch.setattr(lanes, "LANE_LIMIT", 8)  # one free position per chunk
+    assert [(r.model, r.witnesses_checked)
+            for r in enumerate_equilibrium(theory, bounds)] == whole
+    assert list(iter_models(EV_A, TraceBounds(A1, 3, 2))) == whole_models

@@ -9,7 +9,7 @@ from mdel.formulas import (
 )
 from mdel.intervals import Interval, UNTIMED
 from mdel.laws import random_formula
-from mdel.parser import ParseError, parse_formula, parse_path, parse_theory
+from mdel.parser import MAX_NESTING, ParseError, parse_formula, parse_path, parse_theory
 
 AB = frozenset({"a", "b", "h"})
 
@@ -103,6 +103,20 @@ def test_parse_theory_lines_and_comments():
 def test_theory_rejects_foreign_atoms():
     with pytest.raises(ParseError):
         parse_theory("a & q", AB)
+
+
+@pytest.mark.parametrize("nest", [
+    lambda d: "!" * d + "a",
+    lambda d: "(" * d + "a" + ")" * d,
+    lambda d: " & ".join(["a"] * (d + 1)),
+    lambda d: " until ".join(["a"] * (d + 1)),
+    lambda d: "<" + ";".join(["step"] * d) + ">a",  # the brackets open a level
+    lambda d: "<step" + "*" * (d - 1) + ">a",
+])
+def test_nesting_limit(nest):
+    parse_formula(nest(MAX_NESTING), AB)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_formula(nest(MAX_NESTING + 1), AB)
 
 
 @st.composite

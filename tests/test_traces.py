@@ -56,6 +56,11 @@ def test_schema_errors():
         load_trace({"alphabet": ["a"], "tau": [0], "there": [[]]})  # no lambda
     with pytest.raises(TraceError):
         load_trace({"alphabet": ["a"], "lambda": 2, "tau": [0], "there": [[]]})
+    # JSON booleans are ints to Python; neither they nor floats are accepted
+    for lam, tau in ((True, [0]), (1.0, [0]), (2, [0.0, True]), (2, [0, 1.5])):
+        with pytest.raises(TraceError):
+            load_trace({"alphabet": ["a"], "lambda": lam, "tau": tau,
+                        "there": [[]] * len(tau)})
 
 
 def test_dump_round_trips_and_omits_here_when_total():
