@@ -15,11 +15,11 @@ import sys
 from typing import Optional
 
 from .equilibrium import enumerate_equilibrium, result_to_dict
-from .formulas import atoms_of
+from .formulas import atoms_of, compile_to_core
 from .intervals import IntervalError
 from .laws import SUITES, run_suite
 from .parser import ParseError, parse_formula, parse_theory
-from .semantics import HERE, THERE, equiv_bounded, satisfies
+from .semantics import HERE, THERE, Evaluator, equiv_bounded
 from .traces import TraceBounds, TraceError, load_trace, trace_to_dict
 
 
@@ -83,8 +83,11 @@ def cmd_check(args) -> int:
     k = args.position
     if not 0 <= k < trace.length:
         raise CliError(f"position {k} out of range for lambda={trace.length}")
-    here = satisfies(trace, k, formula, HERE)
-    there = satisfies(trace, k, formula, THERE)
+    # one view answers both worlds: the here world's boxes read its there twin
+    ev = Evaluator(trace)
+    core = compile_to_core(formula)
+    here = bool(ev.sat_mask(core, HERE) >> k & 1)
+    there = bool(ev.sat_mask(core, THERE) >> k & 1)
     verdict = "SAT" if here else "UNSAT"
     if args.json:
         _emit({"verdict": verdict, "position": k, "here": here, "there": there})

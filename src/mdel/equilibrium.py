@@ -18,17 +18,12 @@ every model still open in one here batch whose there twin is that pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
 from .formulas import Theory, compile_to_core
-from .lanes import (
-    LaneBatch, grid_chunks, grid_columns, iter_lanes, lane_digits, trace_columns,
-)
-from .traces import (
-    TimedHTTrace, TraceBounds, _gap_grids, _state_table, trace_to_dict,
-)
+from .lanes import LaneBatch, grid_batches, iter_lanes, trace_columns
+from .traces import TimedHTTrace, TraceBounds, _state_table, trace_to_dict
 
 
 @dataclass(frozen=True)
@@ -137,56 +132,28 @@ def is_equilibrium(t: TimedHTTrace, theory: Theory) -> EquilibriumVerdict:
     return _equilibrium_check(t, _compile_theory(theory), {})
 
 
-def _grid_batches(bounds: TraceBounds, total_only: bool):
-    """One batch per lane chunk of every (lambda, tau), in enumeration order.
-
-    Yields ``(batch, digits)``, where ``digits(lane)`` gives the lane's index
-    into ``_state_table(bounds.alphabet, total_only)`` at every position.
-    """
-    table = _state_table(bounds.alphabet, total_only)
-    here = [h for h, _ in table]
-    there = [t for _, t in table]
-    shared: dict = {}
-    for lam in range(bounds.lambda_max + 1):
-        # the columns depend on the length only, not on tau
-        chunks = [(partial(lane_digits, prefix, suffix, len(table)),
-                   grid_columns(here, prefix, suffix),
-                   None if total_only else grid_columns(there, prefix, suffix)[0])
-                  for prefix, suffix in grid_chunks(len(table), lam)]
-        for tau in _gap_grids(lam, bounds.max_gap):
-            for digits, (columns, full), there_columns in chunks:
-                twin = (None if there_columns is None
-                        else LaneBatch(tau, there_columns, full, shared=shared))
-                yield LaneBatch(tau, columns, full, twin=twin, shared=shared), digits
-
-
 def enumerate_equilibrium(theory: Theory, bounds: TraceBounds) -> Iterator[EquilibriumResult]:
     """All equilibrium models within bounds, grouped by ascending length."""
     if not theory.alphabet <= bounds.alphabet:
         raise ValueError("theory alphabet must be contained in the search alphabet")
     compiled = _compile_theory(theory)
-    states = [s for s, _ in _state_table(bounds.alphabet, total_only=True)]
-    atoms = [sorted(s) for s in states]
-    for total, digits in _grid_batches(bounds, total_only=True):
-        def occurrences(lane, digits=digits):
+    atoms = [sorted(s) for s, _ in _state_table(bounds.alphabet, total_only=True)]
+    for grid in grid_batches(bounds, total_only=True):
+        def occurrences(lane, digits=grid.digits):
             return [(i, a) for i, d in enumerate(digits(lane)) for a in atoms[d]]
 
+        total = grid.batch
         models = total.models(compiled)
         verdicts = _minimality(total, compiled, models, occurrences)
         for lane in iter_lanes(models):
             witnesses, removed = verdicts[lane]
             if removed is None:  # only equilibria become trace objects
-                there = tuple(states[d] for d in digits(lane))
-                model = TimedHTTrace(bounds.alphabet, there, there, total.tau)
-                yield EquilibriumResult(model, total.lam, witnesses)
+                yield EquilibriumResult(grid.trace(lane), total.lam, witnesses)
 
 
 def iter_models(theory: Theory, bounds: TraceBounds) -> Iterator[TimedHTTrace]:
     """All HT-traces within bounds that model the theory (not just total ones)."""
     compiled = _compile_theory(theory)
-    table = _state_table(bounds.alphabet, bounds.total_only)
-    for batch, digits in _grid_batches(bounds, bounds.total_only):
-        for lane in iter_lanes(batch.models(compiled)):
-            states = [table[d] for d in digits(lane)]
-            yield TimedHTTrace(bounds.alphabet, tuple(h for h, _ in states),
-                               tuple(t for _, t in states), batch.tau)
+    for grid in grid_batches(bounds):
+        for lane in iter_lanes(grid.batch.models(compiled)):
+            yield grid.trace(lane)

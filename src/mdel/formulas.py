@@ -221,11 +221,9 @@ class Trigger(Formula):
 BOT = Bot()
 TOP = Top()
 
-_UNARY_METRIC = (Next, WNext, Prev, WPrev, Eventually, Always, EvPast, AlwPast)
-_BINARY_METRIC = (Until, Since, Release, Trigger)
-_PAST_SURFACE = (Prev, WPrev, EvPast, AlwPast, Since, Trigger)
-
-CORE_TYPES = (Atom, Bot, Diamond, Box)
+UNARY_METRIC = (Next, WNext, Prev, WPrev, Eventually, Always, EvPast, AlwPast)
+BINARY_METRIC = (Until, Since, Release, Trigger)
+PAST_OPS = (Prev, WPrev, EvPast, AlwPast, Since, Trigger)
 
 
 def is_core(f: Formula) -> bool:
@@ -463,7 +461,7 @@ def invert_past(f: Formula) -> Formula:
     t = type(f)
     if t is EvPast:
         return Diamond(Converse(Star(STEP)), f.interval.invert(), invert_past(f.body))
-    if t in _PAST_SURFACE:
+    if t in PAST_OPS:
         raise ValueError(f"{t.__name__} is outside the past-eventually fragment")
     if t in (Atom, Bot, Top, Final, Initial):
         return f

@@ -12,10 +12,18 @@ bit-parallel simulation of logic synthesis.
 Grids number their lanes by state-table index digits, the first position
 most significant, so ascending lane order is the order in which
 ``enumerate_traces`` yields the same traces.
+
+This is the only HT evaluator.  ``semantics.Evaluator`` reads one-lane
+batches, and every bounded scan (``is_tautology_bounded``, the law suites,
+the equilibrium search) walks the grids of :func:`grid_batches`: it
+evaluates its formulas once per batch, reads each lane's positions with
+:func:`lane_mask` / :func:`lane_rows`, and builds a lane's trace
+(:meth:`Grid.trace`) only for a per-trace oracle or a counterexample.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 from typing import Iterator, List, Optional, Sequence
 
@@ -23,11 +31,29 @@ from .formulas import (
     Atom, Bot, Box, Choice, Converse, Diamond, Formula, PathExpr, Seq, Star,
     Step, Test,
 )
-from .semantics import _iter_bits as iter_lanes  # set bits, ascending
+from .traces import TimedHTTrace, TraceBounds, _gap_grids, _state_table
 
 # A length whose lane space is wider than this is split into chunks that fix
 # the states of the first positions; it bounds the size of every lane mask.
 LANE_LIMIT = 1 << 10
+
+
+def iter_lanes(mask: int) -> Iterator[int]:
+    """The set bits of a lane mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def lane_mask(value: List[int], lane: int) -> int:
+    """The positions where a formula with this batch value holds in one lane."""
+    return sum((x >> lane & 1) << k for k, x in enumerate(value))
+
+
+def lane_rows(rel: List[dict], lane: int) -> tuple:
+    """``rows[k]`` = the positions reachable from k in one lane of a relation."""
+    return tuple(sum(1 << i for i, x in row.items() if x >> lane & 1) for row in rel)
 
 
 class LaneBatch:
@@ -49,8 +75,11 @@ class LaneBatch:
         self.full = full
         self.twin = self if twin is None else twin
         self.shared = {} if shared is None else shared
+        # the caches are keyed by node identity; pinning the nodes keeps an
+        # id from being reused by a new node while its entry is live
         self._sat: dict = {}
         self._rel: dict = {}
+        self._pin: list = []
 
     def models(self, compiled: Sequence[Formula], lanes: Optional[int] = None) -> int:
         """Lanes (within ``lanes``) satisfying every formula at position 0."""
@@ -81,6 +110,7 @@ class LaneBatch:
         if value is None:
             value = self._sat_compute(f)
             self._sat[id(f)] = value
+            self._pin.append(f)
         return value
 
     def _sat_compute(self, f: Formula) -> List[int]:
@@ -123,13 +153,14 @@ class LaneBatch:
                 if value is None:
                     value = self.shared[key] = self._rel_compute(rho)
             self._rel[id(rho)] = value
+            self._pin.append(rho)
         return value
 
     def _rel_compute(self, rho: PathExpr) -> List[dict]:
         t = type(rho)
         lam = self.lam
         if t is Step:
-            return [{k + 1: self.full} for k in range(lam - 1)] + [{}]
+            return [{k + 1: self.full} for k in range(lam - 1)] + [{}] if lam else []
         if t is Test:
             return [{k: x} if x else {} for k, x in enumerate(self.sat(rho.body))]
         if t is Choice:
@@ -200,21 +231,6 @@ def trace_columns(states: Sequence[frozenset]) -> dict:
     return columns
 
 
-def grid_chunks(size: int, lam: int) -> Iterator[tuple]:
-    """Split the ``size ** lam`` state sequences of a length into lane chunks.
-
-    Yields ``(prefix, suffix)`` in enumeration order: ``prefix`` holds the
-    state indices of the first positions, fixed for the chunk, and the
-    ``suffix`` remaining positions vary over ``size ** suffix`` lanes, lane
-    ``l`` holding the base-``size`` digits of ``l``.
-    """
-    suffix = lam
-    while suffix and size ** suffix > LANE_LIMIT:
-        suffix -= 1
-    for prefix in product(range(size), repeat=lam - suffix):
-        yield prefix, suffix
-
-
 def grid_columns(states: Sequence[frozenset], prefix: tuple, suffix: int) -> tuple:
     """``(columns, full)`` of one chunk; ``states`` lists the state of each index."""
     size, lam = len(states), len(prefix) + suffix
@@ -236,9 +252,76 @@ def grid_columns(states: Sequence[frozenset], prefix: tuple, suffix: int) -> tup
     return columns, full
 
 
-def lane_digits(prefix: tuple, suffix: int, size: int, lane: int) -> tuple:
-    """The state index of every position of a grid lane."""
-    digits = [0] * suffix
-    for q in range(suffix - 1, -1, -1):
-        lane, digits[q] = divmod(lane, size)
-    return prefix + tuple(digits)
+# -- grids: every trace of a bounded space, batch by batch -------------------------
+
+
+class Grid:
+    """One lane chunk of a (lambda, tau): its batch and the traces of its lanes.
+
+    The chunk fixes the states of the first positions (``prefix`` holds
+    their state-table indices); lane ``l`` gives the remaining ``suffix``
+    positions the base-``len(table)`` digits of ``l``.  ``size`` is the
+    number of lanes and ``total`` (computed on first use) the mask of the
+    lanes whose trace is total.
+    """
+
+    def __init__(self, batch: LaneBatch, table: list, alphabet: frozenset,
+                 prefix: tuple, suffix: int):
+        self.batch = batch
+        self.size = batch.full.bit_length()
+        self._table = table
+        self._alphabet = alphabet
+        self._prefix = prefix
+        self._suffix = suffix
+
+    @cached_property
+    def total(self) -> int:
+        batch = self.batch
+        if batch.twin is batch:
+            return batch.full
+        differ = 0  # lanes whose here and there states differ somewhere
+        for a, column in batch.twin.columns.items():
+            here = batch.columns.get(a) or [0] * batch.lam
+            for x, y in zip(here, column):
+                differ |= x ^ y
+        return batch.full & ~differ
+
+    def digits(self, lane: int) -> tuple:
+        """The state-table index of every position of a lane."""
+        digits = [0] * self._suffix
+        for q in range(self._suffix - 1, -1, -1):
+            lane, digits[q] = divmod(lane, len(self._table))
+        return self._prefix + tuple(digits)
+
+    def trace(self, lane: int) -> TimedHTTrace:
+        states = [self._table[d] for d in self.digits(lane)]
+        return TimedHTTrace(self._alphabet, tuple(h for h, _ in states),
+                            tuple(t for _, t in states), self.batch.tau)
+
+
+def grid_batches(bounds: TraceBounds, total_only: Optional[bool] = None,
+                 shared: Optional[dict] = None) -> Iterator[Grid]:
+    """One grid per lane chunk of every (lambda, tau), in enumeration order.
+
+    ``total_only`` defaults to the bounds' own; ``shared`` caches
+    lane-independent tables across the batches (and across calls).
+    """
+    total_only = bounds.total_only if total_only is None else total_only
+    table = _state_table(bounds.alphabet, total_only)
+    here = [h for h, _ in table]
+    there = [t for _, t in table]
+    shared = {} if shared is None else shared
+    for lam in range(bounds.lambda_max + 1):
+        suffix = lam  # chunks of at most LANE_LIMIT lanes
+        while suffix and len(table) ** suffix > LANE_LIMIT:
+            suffix -= 1
+        # the columns depend on the length only, not on tau
+        chunks = [(prefix, grid_columns(here, prefix, suffix),
+                   None if total_only else grid_columns(there, prefix, suffix)[0])
+                  for prefix in product(range(len(table)), repeat=lam - suffix)]
+        for tau in _gap_grids(lam, bounds.max_gap):
+            for prefix, (columns, full), there_columns in chunks:
+                twin = (None if there_columns is None
+                        else LaneBatch(tau, there_columns, full, shared=shared))
+                batch = LaneBatch(tau, columns, full, twin=twin, shared=shared)
+                yield Grid(batch, table, bounds.alphabet, prefix, suffix)

@@ -5,6 +5,13 @@ semantic laws over a bounded trace space and returns :class:`LawReport`
 records.  Counterexamples carry a reloadable trace document.  Note that the
 ``release-naive`` suite checks deliberately false equivalence claims, so its
 expected outcome is a failure report exhibiting a counterexample.
+
+The exhaustive scans walk the grids of :func:`mdel.lanes.grid_batches`: the
+compiled side is evaluated once per lane batch, then the lanes are visited
+in enumeration order, and a lane's trace is built only for a per-trace
+oracle (the direct metric evaluator, the classical evaluator) or a
+counterexample.  Counts and first counterexamples are therefore those of a
+trace-by-trace loop.
 """
 
 from __future__ import annotations
@@ -16,19 +23,16 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 from . import formulas as F
 from .formulas import (
     Atom, BOT, TOP, And, Or, Not, Implies, Final, Initial,
-    Next, WNext, Prev, WPrev, Eventually, Always, EvPast, AlwPast,
+    WNext, WPrev, Eventually, Always, EvPast, AlwPast,
     Until, Since, Release, Trigger, Diamond, Box, Test, Choice, Seq, Star,
     Converse, STEP, Formula, PathExpr, Theory, compile_to_core, invert_past,
-    pretty_print, formula_path,
+    pretty_print, formula_path, UNARY_METRIC, BINARY_METRIC, PAST_OPS,
 )
 from .intervals import Interval, IntervalError, NEG_OMEGA, OMEGA, UNTIMED
+from .lanes import grid_batches, lane_mask, lane_rows
 from .mht import MhtEvaluator
 from .semantics import Evaluator, HERE, THERE
-from .traces import TimedHTTrace, TraceBounds, enumerate_traces, trace_to_dict
-
-UNARY_METRIC = (Next, WNext, Prev, WPrev, Eventually, Always, EvPast, AlwPast)
-PAST_OPS = (Prev, WPrev, EvPast, AlwPast, Since, Trigger)
-BINARY_METRIC = (Until, Since, Release, Trigger)
+from .traces import TimedHTTrace, TraceBounds, trace_to_dict
 
 
 @dataclass
@@ -233,7 +237,7 @@ class ScanOutcome:
 def agreement_scan(formulas: Sequence[Formula], bounds: TraceBounds,
                    check_agreement: bool = True,
                    max_violations: int = 5) -> ScanOutcome:
-    """One pass per trace checking, for every formula:
+    """One pass per lane batch checking, on every trace, for every formula:
 
     - oracle agreement: direct metric evaluation equals the compiled core
       semantics, in both worlds (skipped for formulas with raw modalities);
@@ -241,47 +245,42 @@ def agreement_scan(formulas: Sequence[Formula], bounds: TraceBounds,
     - totality: on total traces the HT and classical verdicts coincide.
     """
     pairs = [(f, compile_to_core(f), F.is_metric(f)) for f in formulas]
-    shared: dict = {}
     out = ScanOutcome()
-    for m in enumerate_traces(bounds):
-        out.traces += 1
-        lam = m.length
-        if lam == 0:
-            continue
-        full = (1 << lam) - 1
-        ev = Evaluator(m, shared=shared)
-        dm = MhtEvaluator(m) if check_agreement else None
-        total = m.is_total
-        for surface, core, metric in pairs:
-            hm = ev.sat_mask(core, HERE)
-            tm = ev.sat_mask(core, THERE)
-            out.checks += lam
-            if hm & ~tm:
-                k = _low_bit(hm & ~tm)
-                out.persistence_violations.append(
-                    _cex(m, k, formula=pretty_print(surface)))
-            if total:
-                mm = ev.mdl_sat_mask(core)
-                if mm != hm:
-                    k = _low_bit(mm ^ hm)
-                    out.totality_violations.append(
-                        _cex(m, k, formula=pretty_print(surface)))
-            if check_agreement and metric:
-                om = 0
-                tot_dm = dm.total
-                otm = 0
-                for k in range(lam):
-                    if dm.sat(surface, k):
-                        om |= 1 << k
-                    if tot_dm.sat(surface, k):
-                        otm |= 1 << k
-                if om != hm or otm != tm:
-                    k = _low_bit((om ^ hm) | (otm ^ tm))
-                    out.agreement_violations.append(
-                        _cex(m, k, formula=pretty_print(surface)))
-        if (len(out.agreement_violations) + len(out.persistence_violations)
-                + len(out.totality_violations)) >= max_violations:
-            break
+    for grid in grid_batches(bounds):
+        batch = grid.batch
+        lam = batch.lam
+        values = [(batch.sat(core), batch.twin.sat(core)) for _, core, _ in pairs]
+        for lane in range(grid.size):
+            out.traces += 1
+            if lam == 0:
+                continue
+            # the classical evaluator is the independent reference on total traces
+            total = grid.total >> lane & 1
+            trace = grid.trace(lane) if total or check_agreement else None
+            ev = Evaluator(trace) if total else None
+            dm = MhtEvaluator(trace) if check_agreement else None
+            for (surface, core, metric), (here, there) in zip(pairs, values):
+                hm, tm = lane_mask(here, lane), lane_mask(there, lane)
+                out.checks += lam
+                if hm & ~tm:
+                    k = _low_bit(hm & ~tm)
+                    out.persistence_violations.append(
+                        _cex(grid.trace(lane), k, formula=pretty_print(surface)))
+                if ev is not None:
+                    mm = ev.mdl_sat_mask(core)
+                    if mm != hm:
+                        k = _low_bit(mm ^ hm)
+                        out.totality_violations.append(
+                            _cex(trace, k, formula=pretty_print(surface)))
+                if check_agreement and metric:
+                    om, otm = _oracle_mask(dm, surface), _oracle_mask(dm.total, surface)
+                    if om != hm or otm != tm:
+                        k = _low_bit((om ^ hm) | (otm ^ tm))
+                        out.agreement_violations.append(
+                            _cex(trace, k, formula=pretty_print(surface)))
+            if (len(out.agreement_violations) + len(out.persistence_violations)
+                    + len(out.totality_violations)) >= max_violations:
+                return out
     return out
 
 
@@ -289,49 +288,54 @@ def _low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _oracle_mask(dm: MhtEvaluator, f: Formula) -> int:
+    """The positions where the direct metric evaluator says f holds."""
+    return sum(1 << k for k in range(dm.lam) if dm.sat(f, k))
+
+
 def relation_scan(paths: Sequence[PathExpr], bounds: TraceBounds) -> ScanOutcome:
     """Relation-level laws: here-relation contained in the there-relation,
     and on total traces the HT relation equals the classical one."""
     out = ScanOutcome()
-    shared: dict = {}
     paths = [F.compile_path(rho) for rho in paths]
-    for m in enumerate_traces(bounds):
-        out.traces += 1
-        ev = Evaluator(m, shared=shared)
-        total = m.is_total
-        for rho in paths:
-            rows_h = ev.rel_rows(rho, HERE)
-            rows_t = ev.rel_rows(rho, THERE)
-            out.checks += 1
-            if any(h & ~t for h, t in zip(rows_h, rows_t)):
-                out.persistence_violations.append(
-                    _cex(m, 0, path=F.print_path(rho)))
-            if total and rows_h != ev.mdl_rel_rows(rho):
-                out.totality_violations.append(
-                    _cex(m, 0, path=F.print_path(rho)))
-        if out.persistence_violations or out.totality_violations:
-            break
+    for grid in grid_batches(bounds):
+        batch = grid.batch
+        values = [(batch.rel(rho), batch.twin.rel(rho)) for rho in paths]
+        for lane in range(grid.size):
+            out.traces += 1
+            ev = Evaluator(grid.trace(lane)) if grid.total >> lane & 1 else None
+            for rho, (here, there) in zip(paths, values):
+                rows_h, rows_t = lane_rows(here, lane), lane_rows(there, lane)
+                out.checks += 1
+                if any(h & ~t for h, t in zip(rows_h, rows_t)):
+                    out.persistence_violations.append(
+                        _cex(grid.trace(lane), 0, path=F.print_path(rho)))
+                if ev is not None and rows_h != ev.mdl_rel_rows(rho):
+                    out.totality_violations.append(
+                        _cex(ev.trace, 0, path=F.print_path(rho)))
+            if out.persistence_violations or out.totality_violations:
+                return out
     return out
 
 
 def star_properties(paths: Sequence[PathExpr], bounds: TraceBounds) -> Optional[dict]:
     """Star must be the least reflexive-transitive relation containing its body."""
-    shared: dict = {}
-    paths = [F.compile_path(rho) for rho in paths]
-    for m in enumerate_traces(bounds):
-        ev = Evaluator(m, shared=shared)
-        lam = m.length
-        for rho in paths:
-            base = ev.rel_rows(rho, HERE)
-            star = ev.rel_rows(Star(rho), HERE)
-            reflexive = all(star[k] >> k & 1 for k in range(lam))
-            contains = all(not (b & ~s) for b, s in zip(base, star))
-            transitive = all(
-                not (ev._image(star, star[k]) & ~star[k]) for k in range(lam))
-            # least: recompute a closure independently and compare
-            least = _naive_closure(base, lam)
-            if not (reflexive and contains and transitive and least == star):
-                return _cex(m, 0, path=F.print_path(rho))
+    paths = [(rho, Star(rho)) for rho in map(F.compile_path, paths)]
+    for grid in grid_batches(bounds):
+        lam = grid.batch.lam
+        values = [(grid.batch.rel(rho), grid.batch.rel(star)) for rho, star in paths]
+        for lane in range(grid.size):
+            for (rho, _), (base_rel, star_rel) in zip(paths, values):
+                base, star = lane_rows(base_rel, lane), lane_rows(star_rel, lane)
+                reflexive = all(star[k] >> k & 1 for k in range(lam))
+                contains = all(not (b & ~s) for b, s in zip(base, star))
+                # every position reachable from k reaches nothing beyond star[k]
+                transitive = all(not (star[j] & ~star[k]) for k in range(lam)
+                                 for j in range(lam) if star[k] >> j & 1)
+                # least: recompute a closure independently and compare
+                least = _naive_closure(base, lam)
+                if not (reflexive and contains and transitive and least == star):
+                    return _cex(grid.trace(lane), 0, path=F.print_path(rho))
     return None
 
 
@@ -357,40 +361,41 @@ def boolean_scan(argument_pairs: Sequence[Tuple[Formula, Formula]],
     """Check the direct here-and-there readings of the Boolean connectives
     against the compiled core, clause for clause."""
     out = ScanOutcome()
-    shared: dict = {}
+    # per pair: the arguments, then the and, or, implies and not of them
     compiled = [
-        (l, r, compile_to_core(l), compile_to_core(r),
-         compile_to_core(And(l, r)), compile_to_core(Or(l, r)),
-         compile_to_core(Implies(l, r)), compile_to_core(Not(l)))
+        (l, r, [compile_to_core(g) for g in (l, r, And(l, r), Or(l, r),
+                                             Implies(l, r), Not(l))])
         for l, r in argument_pairs
     ]
     top_core = compile_to_core(TOP)
-    for m in enumerate_traces(bounds):
-        out.traces += 1
-        lam = m.length
-        if lam == 0:
-            continue
+    for grid in grid_batches(bounds):
+        batch = grid.batch
+        lam = batch.lam
         full = (1 << lam) - 1
-        ev = Evaluator(m, shared=shared)
-        if ev.sat_mask(top_core, HERE) != full:
-            out.agreement_violations.append(_cex(m, 0, formula="top"))
-        for l, r, cl, cr, cand, cor, cimp, cneg in compiled:
-            lh, rh = ev.sat_mask(cl, HERE), ev.sat_mask(cr, HERE)
-            lt, rt = ev.sat_mask(cl, THERE), ev.sat_mask(cr, THERE)
-            want_and = lh & rh
-            want_or = lh | rh
-            want_imp = (~lh | rh) & (~lt | rt) & full
-            want_neg = ~lt & full
-            got = (ev.sat_mask(cand, HERE), ev.sat_mask(cor, HERE),
-                   ev.sat_mask(cimp, HERE), ev.sat_mask(cneg, HERE))
-            out.checks += 4 * lam
-            for name, want, have in zip(("and", "or", "implies", "not"),
-                                        (want_and, want_or, want_imp, want_neg), got):
-                if want != have:
-                    out.agreement_violations.append(
-                        _cex(m, _low_bit(want ^ have), clause=name,
-                             left=pretty_print(l), right=pretty_print(r)))
-                    return out
+        top = batch.sat(top_core)
+        pair_values = [([batch.sat(c) for c in cores], [batch.twin.sat(c) for c in cores[:2]])
+                       for _, _, cores in compiled]
+        for lane in range(grid.size):
+            out.traces += 1
+            if lam == 0:
+                continue
+            if lane_mask(top, lane) != full:
+                out.agreement_violations.append(_cex(grid.trace(lane), 0, formula="top"))
+            for (l, r, _), (here, there) in zip(compiled, pair_values):
+                lh, rh, *got = (lane_mask(x, lane) for x in here)
+                lt, rt = (lane_mask(x, lane) for x in there)
+                want_and = lh & rh
+                want_or = lh | rh
+                want_imp = (~lh | rh) & (~lt | rt) & full
+                want_neg = ~lt & full
+                out.checks += 4 * lam
+                for name, want, have in zip(("and", "or", "implies", "not"),
+                                            (want_and, want_or, want_imp, want_neg), got):
+                    if want != have:
+                        out.agreement_violations.append(
+                            _cex(grid.trace(lane), _low_bit(want ^ have), clause=name,
+                                 left=pretty_print(l), right=pretty_print(r)))
+                        return out
     return out
 
 
@@ -457,28 +462,29 @@ def check_equivalence_dual(lhs: Formula, rhs: Formula, bounds: TraceBounds,
     """Pointwise equivalence in both worlds, with the left side additionally
     evaluated by the direct metric oracle when possible.  Returns the first
     counterexample (or None) and the number of positions checked."""
-    core_l, core_r = compile_to_core(lhs), compile_to_core(rhs)
+    cores = [compile_to_core(lhs), compile_to_core(rhs)]
     metric_l = F.is_metric(lhs)
-    shared = {} if shared is None else shared
     checked = 0
-    for m in enumerate_traces(bounds):
-        lam = m.length
+    for grid in grid_batches(bounds, shared=shared):
+        batch = grid.batch
+        lam = batch.lam
         if lam == 0:
             continue
-        ev = Evaluator(m, shared=shared)
-        lh, rh = ev.sat_mask(core_l, HERE), ev.sat_mask(core_r, HERE)
-        lt, rt = ev.sat_mask(core_l, THERE), ev.sat_mask(core_r, THERE)
-        checked += lam
-        if lh != rh or lt != rt:
-            k = _low_bit((lh ^ rh) | (lt ^ rt))
-            return _cex(m, k, left=pretty_print(lhs), right=pretty_print(rhs)), checked
-        if metric_l:
-            dm = MhtEvaluator(m)
-            om = sum(1 << k for k in range(lam) if dm.sat(lhs, k))
-            if om != lh:
-                k = _low_bit(om ^ lh)
-                return _cex(m, k, left=pretty_print(lhs),
-                            note="direct oracle disagrees with compiled form"), checked
+        values = [batch.sat(c) for c in cores] + [batch.twin.sat(c) for c in cores]
+        for lane in range(grid.size):
+            lh, rh, lt, rt = (lane_mask(x, lane) for x in values)
+            checked += lam
+            if lh != rh or lt != rt:
+                k = _low_bit((lh ^ rh) | (lt ^ rt))
+                return _cex(grid.trace(lane), k, left=pretty_print(lhs),
+                            right=pretty_print(rhs)), checked
+            if metric_l:
+                trace = grid.trace(lane)
+                om = _oracle_mask(MhtEvaluator(trace), lhs)
+                if om != lh:
+                    k = _low_bit(om ^ lh)
+                    return _cex(trace, k, left=pretty_print(lhs),
+                                note="direct oracle disagrees with compiled form"), checked
     return None, checked
 
 
@@ -501,28 +507,32 @@ def check_release_table(bounds: TraceBounds, m_values: Sequence[int] = (1, 2, 3)
                 if sig not in row:
                     row[sig] = ((mv, nv), lhs, rhs,
                                 compile_to_core(lhs), compile_to_core(rhs))
-    shared: dict = {}
     failures = {row_id: None for row_id in instances}
     checked = {row_id: 0 for row_id in instances}
-    for m in enumerate_traces(bounds):
-        lam = m.length
+    for grid in grid_batches(bounds):
+        batch = grid.batch
+        lam = batch.lam
         if lam == 0:
             continue
-        ev = Evaluator(m, shared=shared)
-        dm = MhtEvaluator(m)
-        for row_id, cases in instances.items():
-            if failures[row_id] is not None:
-                continue
-            for tag, lhs, rhs, cl, cr in cases.values():
-                lh, rh = ev.sat_mask(cl, HERE), ev.sat_mask(cr, HERE)
-                lt, rt = ev.sat_mask(cl, THERE), ev.sat_mask(cr, THERE)
-                om = sum(1 << k for k in range(lam) if dm.sat(lhs, k))
-                checked[row_id] += lam
-                if lh != rh or lt != rt or om != lh:
-                    k = _low_bit((lh ^ rh) | (lt ^ rt) | (om ^ lh))
-                    failures[row_id] = _cex(m, k, left=pretty_print(lhs),
-                                            right=pretty_print(rhs), bounds=list(tag))
-                    break
+        # rows that already failed are not evaluated again
+        values = {row_id: [[batch.sat(cl), batch.sat(cr), batch.twin.sat(cl), batch.twin.sat(cr)]
+                           for _, _, _, cl, cr in cases.values()]
+                  for row_id, cases in instances.items() if failures[row_id] is None}
+        for lane in range(grid.size):
+            trace = grid.trace(lane)
+            dm = MhtEvaluator(trace)
+            for row_id, row_values in values.items():
+                if failures[row_id] is not None:
+                    continue
+                for (tag, lhs, rhs, _, _), case in zip(instances[row_id].values(), row_values):
+                    lh, rh, lt, rt = (lane_mask(x, lane) for x in case)
+                    om = _oracle_mask(dm, lhs)
+                    checked[row_id] += lam
+                    if lh != rh or lt != rt or om != lh:
+                        k = _low_bit((lh ^ rh) | (lt ^ rt) | (om ^ lh))
+                        failures[row_id] = _cex(trace, k, left=pretty_print(lhs),
+                                                right=pretty_print(rhs), bounds=list(tag))
+                        break
     return [LawReport(row_id, bounds.describe(),
                       "fail" if failures[row_id] else "pass",
                       checked[row_id], failures[row_id])
@@ -561,25 +571,23 @@ def em_collapse_scan(theories: Sequence[Theory], bounds: TraceBounds) -> ScanOut
     """Every bounded HT-model of a theory extended with the excluded-middle
     schema must be total."""
     out = ScanOutcome()
-    shared: dict = {}
     em_core = [compile_to_core(f) for f in em_axioms(bounds.alphabet)]
-    all_traces = list(enumerate_traces(bounds))
+    # the lanes that model the axioms, once per batch for every theory
+    grids = [(grid, grid.batch.models(em_core)) for grid in grid_batches(bounds)]
     for theory in theories:
         compiled = [compile_to_core(f) for f in theory.formulas]
-        for m in all_traces:
-            out.traces += 1
-            if m.length == 0:
-                continue
-            ev = Evaluator(m, shared=shared)
-            if not all(ev.sat_mask(c, HERE) & 1 for c in em_core):
-                continue
-            if not all(ev.sat_mask(c, HERE) & 1 for c in compiled):
-                continue
-            out.checks += 1
-            if not m.is_total:
-                out.agreement_violations.append(
-                    _cex(m, 0, theory=[pretty_print(f) for f in theory.formulas]))
-                return out
+        for grid, em_models in grids:
+            lam = grid.batch.lam
+            models = grid.batch.models(compiled, em_models)
+            for lane in range(grid.size):
+                out.traces += 1
+                if lam == 0 or not models >> lane & 1:
+                    continue
+                out.checks += 1
+                if not grid.total >> lane & 1:
+                    out.agreement_violations.append(_cex(
+                        grid.trace(lane), 0, theory=[pretty_print(f) for f in theory.formulas]))
+                    return out
     return out
 
 
@@ -633,7 +641,6 @@ def invert_past_scan(formulas: Sequence[Formula], bounds: TraceBounds) -> ScanOu
     """The rewritten formula must have no past surface operator left and agree
     with the direct metric evaluation of the original everywhere."""
     out = ScanOutcome()
-    shared: dict = {}
     pairs = []
     for f in formulas:
         g = invert_past(f)
@@ -642,21 +649,23 @@ def invert_past_scan(formulas: Sequence[Formula], bounds: TraceBounds) -> ScanOu
                                              "note": "past operator survived"})
             return out
         pairs.append((f, compile_to_core(g)))
-    for m in enumerate_traces(bounds):
-        out.traces += 1
-        lam = m.length
-        if lam == 0:
-            continue
-        ev = Evaluator(m, shared=shared)
-        dm = MhtEvaluator(m)
-        for f, core in pairs:
-            out.checks += lam
-            got = ev.sat_mask(core, HERE)
-            want = sum(1 << k for k in range(lam) if dm.sat(f, k))
-            if got != want:
-                out.agreement_violations.append(
-                    _cex(m, _low_bit(got ^ want), formula=pretty_print(f)))
-                return out
+    for grid in grid_batches(bounds):
+        lam = grid.batch.lam
+        values = [grid.batch.sat(core) for _, core in pairs]
+        for lane in range(grid.size):
+            out.traces += 1
+            if lam == 0:
+                continue
+            trace = grid.trace(lane)
+            dm = MhtEvaluator(trace)
+            for (f, _), value in zip(pairs, values):
+                out.checks += lam
+                got = lane_mask(value, lane)
+                want = _oracle_mask(dm, f)
+                if got != want:
+                    out.agreement_violations.append(
+                        _cex(trace, _low_bit(got ^ want), formula=pretty_print(f)))
+                    return out
     return out
 
 

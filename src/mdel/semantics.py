@@ -1,13 +1,18 @@
-"""Satisfaction on timed HT-traces: accessibility relations, the two-world
-box rule, classical evaluation on total traces, and bounded tautology search.
+"""Satisfaction on timed HT-traces: the one-trace view of the lane engine,
+the classical evaluator on total traces, and bounded tautology search.
 
-The engine works with satisfaction *sets*: for each (sub)formula and world it
-computes the bitmask of trace positions where the formula holds.  Relations
-are rows of bitmasks (``rows[k]`` holds the successors of position ``k``).
-Caches are keyed by node identity and scoped to one Evaluator, which covers
-exactly one trace; the there-world of a non-total trace is delegated to a
-twin evaluator for the collapsed total trace, so minimality searches that
-vary only the here component can share all there-side work.
+Satisfaction is computed as *sets*: for each (sub)formula and world, the
+bitmask of trace positions where the formula holds; a relation is a tuple of
+rows of bitmasks (``rows[k]`` holds the successors of position ``k``).
+
+The HT semantics has one implementation, :class:`mdel.lanes.LaneBatch`.
+:class:`Evaluator` is its view of a single trace: a one-lane batch whose
+there-world twin is the batch of the collapsed total trace.  Bounded scans
+(``is_tautology_bounded`` here, the law suites in :mod:`mdel.laws`) evaluate
+whole grids of traces at once instead.  The classical single-world
+evaluator (``mdl_sat_mask``/``mdl_rel_rows``) is a separate recursion that
+shares no code with the lane engine, so the totality law compares two
+independent computations.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from .formulas import (
     Step, Test, compile_to_core,
 )
 from .intervals import Interval
-from .traces import TimedHTTrace, TraceBounds, enumerate_traces, total_of
+from .lanes import LaneBatch, grid_batches, lane_mask, lane_rows, trace_columns
+from .traces import TimedHTTrace, TraceBounds, total_of
 
 
 class World(enum.Enum):
@@ -54,159 +60,44 @@ def _iter_bits(mask: int) -> Iterator[int]:
 
 
 class Evaluator:
-    """Satisfaction sets for one trace; create one per trace per session."""
+    """Satisfaction sets for one trace.
 
-    def __init__(self, trace: TimedHTTrace, shared: Optional[dict] = None,
-                 total_twin: Optional["Evaluator"] = None):
+    ``sat_mask`` and ``rel_rows`` read a one-lane :class:`LaneBatch` built on
+    first use; the there world is the twin view of the collapsed total trace,
+    and the two views share their lane-independent tables.
+    """
+
+    def __init__(self, trace: TimedHTTrace):
         self.trace = trace
         self.lam = trace.length
         self.full = (1 << self.lam) - 1
-        self.shared = {} if shared is None else shared
-        if trace.is_total:
-            self.twin = self
-        elif total_twin is not None:
-            self.twin = total_twin
-        else:
-            self.twin = Evaluator(total_of(trace), shared=self.shared)
-        self._sat = {}
-        self._rel = {}
+        self.twin = self if trace.is_total else Evaluator(total_of(trace))
+        self._batch: Optional[LaneBatch] = None
         self._mdl_sat = {}
         self._mdl_rel = {}
-        self._atom_masks = {}
         self._pin = []
 
-    # -- helpers -------------------------------------------------------------
-
-    def _atom_mask(self, name: str) -> int:
-        m = self._atom_masks.get(name)
-        if m is None:
-            m = 0
-            for i, state in enumerate(self.trace.here):
-                if name in state:
-                    m |= 1 << i
-            self._atom_masks[name] = m
-        return m
-
-    def time_rows(self, iv: Interval) -> Tuple[int, ...]:
-        """rows[k] = positions i with tau(i) - tau(k) in the interval."""
-        key = (self.trace.tau, iv.lo, iv.hi)
-        rows = self.shared.get(key)
-        if rows is None:
-            tau, lo, hi = self.trace.tau, iv.lo, iv.hi
-            rows = tuple(
-                sum(1 << i for i, ti in enumerate(tau) if lo < ti - tk < hi)
-                for tk in tau
-            )
-            self.shared[key] = rows
-        return rows
-
-    # -- accessibility relations ----------------------------------------------
+    def _lanes(self) -> LaneBatch:
+        if self._batch is None:
+            twin = None if self.twin is self else self.twin._lanes()
+            self._batch = LaneBatch(self.trace.tau, trace_columns(self.trace.here), 1,
+                                    twin=twin, shared=None if twin is None else twin.shared)
+        return self._batch
 
     def rel_rows(self, rho: PathExpr, world: World = HERE) -> Tuple[int, ...]:
         if world is THERE:
             return self.twin.rel_rows(rho, HERE)
-        key = id(rho)
-        rows = self._rel.get(key)
-        if rows is None:
-            rows = self._rel_compute(rho)
-            self._rel[key] = rows
-            self._pin.append(rho)
-        return rows
-
-    def _rel_compute(self, rho: PathExpr) -> Tuple[int, ...]:
-        t = type(rho)
-        lam = self.lam
-        if t is Step:
-            return tuple(1 << (k + 1) if k + 1 < lam else 0 for k in range(lam))
-        if t is Test:
-            m = self.sat_mask(rho.body, HERE)
-            return tuple((m >> k & 1) << k for k in range(lam))
-        if t is Choice:
-            a = self.rel_rows(rho.left)
-            b = self.rel_rows(rho.right)
-            return tuple(x | y for x, y in zip(a, b))
-        if t is Seq:
-            a = self.rel_rows(rho.left)
-            b = self.rel_rows(rho.right)
-            return tuple(self._image(b, row) for row in a)
-        if t is Star:
-            return self._closure(self.rel_rows(rho.body))
-        if t is Converse:
-            a = self.rel_rows(rho.body)
-            out = [0] * lam
-            for k, row in enumerate(a):
-                for i in _iter_bits(row):
-                    out[i] |= 1 << k
-            return tuple(out)
-        raise TypeError(f"not a path expression: {rho!r}")
-
-    @staticmethod
-    def _image(rows: Tuple[int, ...], sources: int) -> int:
-        out = 0
-        for j in _iter_bits(sources):
-            out |= rows[j]
-        return out
-
-    def _closure(self, rows: Tuple[int, ...]) -> Tuple[int, ...]:
-        # reflexive-transitive closure; equals the union of all finite powers
-        out = [row | (1 << k) for k, row in enumerate(rows)]
-        changed = True
-        while changed:
-            changed = False
-            for k in range(self.lam):
-                acc = out[k]
-                for j in _iter_bits(acc):
-                    acc |= out[j]
-                if acc != out[k]:
-                    out[k] = acc
-                    changed = True
-        return tuple(out)
-
-    # -- HT satisfaction ---------------------------------------------------------
+        return lane_rows(self._lanes().rel(rho), 0)
 
     def sat_mask(self, f: Formula, world: World = HERE) -> int:
         """Bitmask of positions where the core formula holds in the world."""
         if world is THERE:
             return self.twin.sat_mask(f, HERE)
-        key = id(f)
-        m = self._sat.get(key)
-        if m is None:
-            m = self._sat_compute(f)
-            self._sat[key] = m
-            self._pin.append(f)
-        return m
-
-    def _sat_compute(self, f: Formula) -> int:
-        t = type(f)
-        if t is Atom:
-            return self._atom_mask(f.name)
-        if t is Bot:
-            return 0
-        if t is Diamond:
-            rows = self.rel_rows(f.path)
-            times = self.time_rows(f.interval)
-            body = self.sat_mask(f.body)
-            m = 0
-            for k in range(self.lam):
-                if rows[k] & times[k] & body:
-                    m |= 1 << k
-            return m
-        if t is Box:
-            # universal condition in this world and, from the here world,
-            # also in the collapsed total trace
-            times = self.time_rows(f.interval)
-            rows = self.rel_rows(f.path)
-            body = self.sat_mask(f.body)
-            m = 0
-            for k in range(self.lam):
-                if rows[k] & times[k] & ~body == 0:
-                    m |= 1 << k
-            if self.twin is not self:
-                m &= self.twin.sat_mask(f, HERE)
-            return m
-        raise TypeError(f"core formula expected, found {type(f).__name__}")
+        return lane_mask(self._lanes().sat(f), 0)
 
     # -- classical (single-world) satisfaction on total traces --------------------
+    #
+    # A recursion of its own, independent of the lane engine.
 
     def mdl_sat_mask(self, f: Formula) -> int:
         key = id(f)
@@ -220,11 +111,15 @@ class Evaluator:
     def _mdl_compute(self, f: Formula) -> int:
         t = type(f)
         if t is Atom:
-            return self._atom_mask(f.name)
+            m = 0
+            for i, state in enumerate(self.trace.here):
+                if f.name in state:
+                    m |= 1 << i
+            return m
         if t is Bot:
             return 0
         rows = self.mdl_rel_rows(f.path)
-        times = self.time_rows(f.interval)
+        times = _time_rows(self.trace.tau, f.interval)
         body = self.mdl_sat_mask(f.body)
         m = 0
         if t is Diamond:
@@ -245,7 +140,9 @@ class Evaluator:
         rows = self._mdl_rel.get(key)
         if rows is None:
             t = type(rho)
-            if t is Test:
+            if t is Step:
+                rows = tuple(1 << (k + 1) if k + 1 < self.lam else 0 for k in range(self.lam))
+            elif t is Test:
                 m = self.mdl_sat_mask(rho.body)
                 rows = tuple((m >> k & 1) << k for k in range(self.lam))
             elif t is Choice:
@@ -253,9 +150,9 @@ class Evaluator:
                 rows = tuple(x | y for x, y in zip(a, b))
             elif t is Seq:
                 a, b = self.mdl_rel_rows(rho.left), self.mdl_rel_rows(rho.right)
-                rows = tuple(self._image(b, row) for row in a)
+                rows = tuple(_image(b, row) for row in a)
             elif t is Star:
-                rows = self._closure(self.mdl_rel_rows(rho.body))
+                rows = _closure(self.mdl_rel_rows(rho.body))
             elif t is Converse:
                 a = self.mdl_rel_rows(rho.body)
                 out = [0] * self.lam
@@ -264,10 +161,39 @@ class Evaluator:
                         out[i] |= 1 << k
                 rows = tuple(out)
             else:
-                rows = self._rel_compute(rho)  # Step: world-independent
+                raise TypeError(f"not a path expression: {rho!r}")
             self._mdl_rel[key] = rows
             self._pin.append(rho)
         return rows
+
+
+def _time_rows(tau: tuple, iv: Interval) -> Tuple[int, ...]:
+    """rows[k] = positions i with tau(i) - tau(k) in the interval."""
+    return tuple(sum(1 << i for i, ti in enumerate(tau) if iv.lo < ti - tk < iv.hi)
+                 for tk in tau)
+
+
+def _image(rows: Tuple[int, ...], sources: int) -> int:
+    out = 0
+    for j in _iter_bits(sources):
+        out |= rows[j]
+    return out
+
+
+def _closure(rows: Tuple[int, ...]) -> Tuple[int, ...]:
+    # reflexive-transitive closure; equals the union of all finite powers
+    out = [row | (1 << k) for k, row in enumerate(rows)]
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(out)):
+            acc = out[k]
+            for j in _iter_bits(acc):
+                acc |= out[j]
+            if acc != out[k]:
+                out[k] = acc
+                changed = True
+    return tuple(out)
 
 
 # -- public operations -----------------------------------------------------------
@@ -335,20 +261,20 @@ def is_tautology_bounded(f: Formula, bounds: TraceBounds,
     position), or the bounded-validity verdict.
     """
     core = compile_to_core(f)
-    shared = {} if shared is None else shared
     traces = 0
     positions = 0
-    for m in enumerate_traces(bounds):
-        traces += 1
-        lam = m.length
-        if lam == 0:
-            continue
-        positions += lam
-        mask = Evaluator(m, shared=shared).sat_mask(core, HERE)
-        if mask != (1 << lam) - 1:
-            missing = ~mask & ((1 << lam) - 1)
-            k = (missing & -missing).bit_length() - 1
-            return Verdict(False, (m, k), traces, positions)
+    for grid in grid_batches(bounds, shared=shared):
+        lam = grid.batch.lam
+        value = grid.batch.sat(core)
+        for lane in range(grid.size):
+            traces += 1
+            if lam == 0:
+                continue
+            positions += lam
+            missing = ~lane_mask(value, lane) & ((1 << lam) - 1)
+            if missing:
+                k = (missing & -missing).bit_length() - 1
+                return Verdict(False, (grid.trace(lane), k), traces, positions)
     return Verdict(True, None, traces, positions)
 
 

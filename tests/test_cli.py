@@ -160,7 +160,7 @@ def test_recursion_error_exit_two(files, capsys, monkeypatch):
     def too_deep(*args):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(mdel.cli, "satisfies", too_deep)
+    monkeypatch.setattr(mdel.cli, "compile_to_core", too_deep)
     trace = files("t.json", TRACE_43)
     formula = files("f.mdel", "a\n")
     code, out, err = run(capsys, "check", formula, trace)

@@ -10,13 +10,12 @@ from mdel.equilibrium import (
 from mdel.formulas import Theory, compile_to_core
 from mdel.laws import random_theory
 from mdel.parser import parse_theory
-from mdel.semantics import HERE, Evaluator
 from mdel.sos import RESCALED, sos_theory
 from mdel.traces import (
     TimedHTTrace, TraceBounds, enumerate_traces, load_trace, make_trace,
 )
 
-from naive_ref import naive_equilibrium_models
+from naive_ref import naive_equilibrium_models, naive_is_model
 
 A1 = frozenset("a")
 EV_A = parse_theory("ev a", A1)
@@ -146,18 +145,11 @@ def test_iter_models_includes_ht_models():
     assert make_trace(A1, [{"a"}], [0], here=[set()]) not in ms
 
 
-# -- differential tests: the lane engine against one Evaluator per trace ----------
-
-def _reference_models(ev, compiled):
-    if ev.lam == 0:
-        return not compiled
-    return all(ev.sat_mask(f, HERE) & 1 for f in compiled)
-
+# -- differential tests: the lane engine against a per-trace naive search ---------
 
 def _reference_check(t, compiled):
-    """Per-trace minimality search on semantics.Evaluator, candidate by candidate."""
-    twin = Evaluator(t)
-    if not _reference_models(twin, compiled):
+    """Per-trace minimality search on naive_ref's clauses, candidate by candidate."""
+    if not naive_is_model(t, compiled):
         return "not-model", None, 0
     occurrences = [(i, a) for i, state in enumerate(t.there) for a in sorted(state)]
     witnesses = 0
@@ -169,7 +161,7 @@ def _reference_check(t, compiled):
                 here[i].discard(a)
             candidate = TimedHTTrace(t.alphabet, tuple(frozenset(s) for s in here),
                                      t.there, t.tau)
-            if _reference_models(Evaluator(candidate, total_twin=twin), compiled):
+            if naive_is_model(candidate, compiled):
                 return "blocked", candidate, witnesses
     return "equilibrium", None, witnesses
 
@@ -208,7 +200,7 @@ def test_lane_engine_matches_per_trace_reference(theory):
 
     ht_bounds = TraceBounds(alphabet, 2, 2)
     want_models = [m for m in enumerate_traces(ht_bounds)
-                   if _reference_models(Evaluator(m), compiled)]
+                   if naive_is_model(m, compiled)]
     assert list(iter_models(theory, ht_bounds)) == want_models
 
 
