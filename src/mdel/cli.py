@@ -18,7 +18,7 @@ from .equilibrium import enumerate_equilibrium, result_to_dict
 from .formulas import atoms_of, compile_to_core
 from .intervals import IntervalError
 from .laws import SUITES, run_suite
-from .parser import ParseError, parse_formula, parse_theory
+from .parser import ParseError, is_atom_name, parse_formula, parse_theory
 from .semantics import HERE, THERE, Evaluator, equiv_bounded
 from .traces import TraceBounds, TraceError, load_trace, trace_to_dict
 
@@ -48,6 +48,9 @@ def _alphabet(args, fallback=None):
         atoms = [a.strip() for a in args.alphabet.split(",") if a.strip()]
         if not atoms:
             raise CliError("empty alphabet")
+        for a in atoms:
+            if not is_atom_name(a):
+                raise CliError(f"{a!r} is not an atom name a formula can mention")
         return frozenset(atoms)
     if fallback is not None:
         return frozenset(fallback)
@@ -161,6 +164,8 @@ def cmd_equiv(args) -> int:
 def cmd_laws(args) -> int:
     if args.suite not in SUITES:
         raise CliError(f"unknown suite {args.suite!r}; available: {', '.join(SUITES)}")
+    if args.samples < 1:
+        raise CliError("--samples must be at least 1")
     alphabet = _alphabet(args, fallback={"a", "b"})
     bounds = _bounds(args, alphabet)
     reports = run_suite(args.suite, bounds, seed=args.seed, samples=args.samples)

@@ -6,10 +6,12 @@ records.  Counterexamples carry a reloadable trace document.  Note that the
 ``release-naive`` suite checks deliberately false equivalence claims, so its
 expected outcome is a failure report exhibiting a counterexample.
 
-The exhaustive scans walk the grids of :func:`mdel.lanes.grid_batches`: the
-compiled side is evaluated once per lane batch, then the lanes are visited
-in enumeration order, and a lane's trace is built only for a per-trace
-oracle (the direct metric evaluator, the classical evaluator) or a
+The exhaustive scans walk the grids of :func:`mdel.lanes.grid_batches`.
+Per lane batch they evaluate the compiled side once, and the direct metric
+oracle (:class:`mdel.mht.MhtEvaluator`) once over the same time grid and
+atom columns; comparing whole batch values gives, per check, the mask of
+the lanes that fail it.  The lanes are then read in enumeration order, and
+a lane's trace is built only for the classical reference (total lanes) or a
 counterexample.  Counts and first counterexamples are therefore those of a
 trace-by-trace loop.
 """
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import formulas as F
@@ -29,7 +33,7 @@ from .formulas import (
     pretty_print, formula_path, UNARY_METRIC, BINARY_METRIC, PAST_OPS,
 )
 from .intervals import Interval, IntervalError, NEG_OMEGA, OMEGA, UNTIMED
-from .lanes import grid_batches, lane_mask, lane_rows
+from .lanes import LaneBatch, grid_batches, iter_lanes, lane_mask, lane_rows
 from .mht import MhtEvaluator
 from .semantics import Evaluator, HERE, THERE
 from .traces import TimedHTTrace, TraceBounds, trace_to_dict
@@ -249,38 +253,49 @@ def agreement_scan(formulas: Sequence[Formula], bounds: TraceBounds,
     for grid in grid_batches(bounds):
         batch = grid.batch
         lam = batch.lam
-        values = [(batch.sat(core), batch.twin.sat(core)) for _, core, _ in pairs]
-        for lane in range(grid.size):
-            out.traces += 1
-            if lam == 0:
-                continue
-            # the classical evaluator is the independent reference on total traces
-            total = grid.total >> lane & 1
-            trace = grid.trace(lane) if total or check_agreement else None
-            ev = Evaluator(trace) if total else None
-            dm = MhtEvaluator(trace) if check_agreement else None
-            for (surface, core, metric), (here, there) in zip(pairs, values):
-                hm, tm = lane_mask(here, lane), lane_mask(there, lane)
-                out.checks += lam
-                if hm & ~tm:
-                    k = _low_bit(hm & ~tm)
-                    out.persistence_violations.append(
-                        _cex(grid.trace(lane), k, formula=pretty_print(surface)))
+        if lam == 0:
+            out.traces += grid.size
+            continue
+        per_lane = lam * len(pairs)  # checks
+        oracle = _direct_oracle(batch) if check_agreement else None
+        # per formula and position, the lanes failing persistence / agreement
+        faults = []
+        for surface, core, metric in pairs:
+            here, there = batch.sat(core), batch.twin.sat(core)
+            persist = [h & ~t for h, t in zip(here, there)]
+            agree = ([(o ^ h) | (ot ^ t) for o, ot, h, t in zip(
+                oracle.sat(surface), oracle.total.sat(surface), here, there)]
+                if check_agreement and metric else [])
+            faults.append((here, persist, _union(persist), agree, _union(agree)))
+        # the classical evaluator is the independent reference on total traces
+        suspects = grid.total
+        for _, _, persist_lanes, _, agree_lanes in faults:
+            suspects |= persist_lanes | agree_lanes
+        done = 0  # lanes counted so far
+        for lane in iter_lanes(suspects):
+            out.traces += lane + 1 - done
+            out.checks += per_lane * (lane + 1 - done)
+            done = lane + 1
+            trace = grid.trace(lane)
+            ev = Evaluator(trace) if grid.total >> lane & 1 else None
+            for (surface, core, _), (here, persist, persist_lanes, agree, agree_lanes) \
+                    in zip(pairs, faults):
+                if persist_lanes >> lane & 1:
+                    out.persistence_violations.append(_cex(
+                        trace, _low_bit(lane_mask(persist, lane)), formula=pretty_print(surface)))
                 if ev is not None:
-                    mm = ev.mdl_sat_mask(core)
+                    mm, hm = ev.mdl_sat_mask(core), lane_mask(here, lane)
                     if mm != hm:
-                        k = _low_bit(mm ^ hm)
                         out.totality_violations.append(
-                            _cex(trace, k, formula=pretty_print(surface)))
-                if check_agreement and metric:
-                    om, otm = _oracle_mask(dm, surface), _oracle_mask(dm.total, surface)
-                    if om != hm or otm != tm:
-                        k = _low_bit((om ^ hm) | (otm ^ tm))
-                        out.agreement_violations.append(
-                            _cex(trace, k, formula=pretty_print(surface)))
+                            _cex(trace, _low_bit(mm ^ hm), formula=pretty_print(surface)))
+                if agree_lanes >> lane & 1:
+                    out.agreement_violations.append(_cex(
+                        trace, _low_bit(lane_mask(agree, lane)), formula=pretty_print(surface)))
             if (len(out.agreement_violations) + len(out.persistence_violations)
                     + len(out.totality_violations)) >= max_violations:
                 return out
+        out.traces += grid.size - done
+        out.checks += per_lane * (grid.size - done)
     return out
 
 
@@ -288,9 +303,16 @@ def _low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _oracle_mask(dm: MhtEvaluator, f: Formula) -> int:
-    """The positions where the direct metric evaluator says f holds."""
-    return sum(1 << k for k in range(dm.lam) if dm.sat(f, k))
+def _union(value: List[int]) -> int:
+    """The lanes where a batch value is set at some position."""
+    return reduce(or_, value, 0)
+
+
+def _direct_oracle(batch: LaneBatch) -> MhtEvaluator:
+    """The direct metric evaluator on a batch's time grid and atom columns."""
+    twin = batch.twin
+    total = None if twin is batch else MhtEvaluator(twin.tau, twin.columns, twin.full)
+    return MhtEvaluator(batch.tau, batch.columns, batch.full, total)
 
 
 def relation_scan(paths: Sequence[PathExpr], bounds: TraceBounds) -> ScanOutcome:
@@ -470,21 +492,22 @@ def check_equivalence_dual(lhs: Formula, rhs: Formula, bounds: TraceBounds,
         lam = batch.lam
         if lam == 0:
             continue
-        values = [batch.sat(c) for c in cores] + [batch.twin.sat(c) for c in cores]
-        for lane in range(grid.size):
-            lh, rh, lt, rt = (lane_mask(x, lane) for x in values)
-            checked += lam
-            if lh != rh or lt != rt:
-                k = _low_bit((lh ^ rh) | (lt ^ rt))
-                return _cex(grid.trace(lane), k, left=pretty_print(lhs),
-                            right=pretty_print(rhs)), checked
-            if metric_l:
-                trace = grid.trace(lane)
-                om = _oracle_mask(MhtEvaluator(trace), lhs)
-                if om != lh:
-                    k = _low_bit(om ^ lh)
-                    return _cex(trace, k, left=pretty_print(lhs),
-                                note="direct oracle disagrees with compiled form"), checked
+        lh, rh = (batch.sat(c) for c in cores)
+        lt, rt = (batch.twin.sat(c) for c in cores)
+        unequal = [(a ^ b) | (c ^ d) for a, b, c, d in zip(lh, rh, lt, rt)]
+        wrong = ([o ^ x for o, x in zip(_direct_oracle(batch).sat(lhs), lh)]
+                 if metric_l else [])
+        bad = _union(unequal) | _union(wrong)
+        if not bad:
+            checked += lam * grid.size
+            continue
+        lane = _low_bit(bad)
+        checked += lam * (lane + 1)
+        if _union(unequal) >> lane & 1:
+            return _cex(grid.trace(lane), _low_bit(lane_mask(unequal, lane)),
+                        left=pretty_print(lhs), right=pretty_print(rhs)), checked
+        return _cex(grid.trace(lane), _low_bit(lane_mask(wrong, lane)), left=pretty_print(lhs),
+                    note="direct oracle disagrees with compiled form"), checked
     return None, checked
 
 
@@ -494,7 +517,7 @@ def check_release_table(bounds: TraceBounds, m_values: Sequence[int] = (1, 2, 3)
 
     Both sides are compared pointwise in both worlds under the compiled core
     semantics, and the timed operator is additionally cross-checked against
-    the direct metric oracle.  One trace-major pass covers every instance.
+    the direct metric oracle.  One pass per lane batch covers every instance.
     """
     instances: dict = {}
     for mv in m_values:
@@ -514,25 +537,31 @@ def check_release_table(bounds: TraceBounds, m_values: Sequence[int] = (1, 2, 3)
         lam = batch.lam
         if lam == 0:
             continue
-        # rows that already failed are not evaluated again
-        values = {row_id: [[batch.sat(cl), batch.sat(cr), batch.twin.sat(cl), batch.twin.sat(cr)]
-                           for _, _, _, cl, cr in cases.values()]
-                  for row_id, cases in instances.items() if failures[row_id] is None}
-        for lane in range(grid.size):
-            trace = grid.trace(lane)
-            dm = MhtEvaluator(trace)
-            for row_id, row_values in values.items():
-                if failures[row_id] is not None:
-                    continue
-                for (tag, lhs, rhs, _, _), case in zip(instances[row_id].values(), row_values):
-                    lh, rh, lt, rt = (lane_mask(x, lane) for x in case)
-                    om = _oracle_mask(dm, lhs)
-                    checked[row_id] += lam
-                    if lh != rh or lt != rt or om != lh:
-                        k = _low_bit((lh ^ rh) | (lt ^ rt) | (om ^ lh))
-                        failures[row_id] = _cex(trace, k, left=pretty_print(lhs),
-                                                right=pretty_print(rhs), bounds=list(tag))
-                        break
+        oracle = _direct_oracle(batch)
+        # rows are independent: each stops at its first failing lane and case
+        for row_id, cases in instances.items():
+            if failures[row_id] is not None:
+                continue
+            bad = []  # per case and position, the lanes failing it
+            for _, lhs, _, cl, cr in cases.values():
+                values = (batch.sat(cl), batch.sat(cr), batch.twin.sat(cl), batch.twin.sat(cr),
+                          oracle.sat(lhs))
+                bad.append([(lh ^ rh) | (lt ^ rt) | (om ^ lh)
+                            for lh, rh, lt, rt, om in zip(*values)])
+            lanes = _union([_union(case) for case in bad])
+            if not lanes:
+                checked[row_id] += lam * len(bad) * grid.size
+                continue
+            lane = _low_bit(lanes)
+            checked[row_id] += lam * len(bad) * lane
+            for (tag, lhs, rhs, _, _), case in zip(cases.values(), bad):
+                checked[row_id] += lam
+                diff = lane_mask(case, lane)
+                if diff:
+                    failures[row_id] = _cex(grid.trace(lane), _low_bit(diff),
+                                            left=pretty_print(lhs), right=pretty_print(rhs),
+                                            bounds=list(tag))
+                    break
     return [LawReport(row_id, bounds.describe(),
                       "fail" if failures[row_id] else "pass",
                       checked[row_id], failures[row_id])
@@ -650,22 +679,28 @@ def invert_past_scan(formulas: Sequence[Formula], bounds: TraceBounds) -> ScanOu
             return out
         pairs.append((f, compile_to_core(g)))
     for grid in grid_batches(bounds):
-        lam = grid.batch.lam
-        values = [grid.batch.sat(core) for _, core in pairs]
-        for lane in range(grid.size):
-            out.traces += 1
-            if lam == 0:
-                continue
-            trace = grid.trace(lane)
-            dm = MhtEvaluator(trace)
-            for (f, _), value in zip(pairs, values):
-                out.checks += lam
-                got = lane_mask(value, lane)
-                want = _oracle_mask(dm, f)
-                if got != want:
-                    out.agreement_violations.append(
-                        _cex(trace, _low_bit(got ^ want), formula=pretty_print(f)))
-                    return out
+        batch = grid.batch
+        lam = batch.lam
+        if lam == 0:
+            out.traces += grid.size
+            continue
+        oracle = _direct_oracle(batch)
+        wrong = [[got ^ want for got, want in zip(batch.sat(core), oracle.sat(f))]
+                 for f, core in pairs]
+        lanes = _union([_union(w) for w in wrong])
+        if not lanes:
+            out.traces += grid.size
+            out.checks += lam * len(pairs) * grid.size
+            continue
+        lane = _low_bit(lanes)
+        out.traces += lane + 1
+        out.checks += lam * len(pairs) * lane
+        for (f, _), w in zip(pairs, wrong):
+            out.checks += lam
+            if _union(w) >> lane & 1:
+                out.agreement_violations.append(
+                    _cex(grid.trace(lane), _low_bit(lane_mask(w, lane)), formula=pretty_print(f)))
+                return out
     return out
 
 

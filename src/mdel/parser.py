@@ -43,9 +43,16 @@ _BINARY_OPS = {"until": F.Until, "since": F.Since, "release": F.Release, "trigge
 
 _CONSTANTS = {"bot": F.BOT, "top": F.TOP, "final": F.Final(), "initial": F.Initial()}
 
+_NAME = r"[a-z][a-zA-Z0-9_]*"
+
 _TOKEN_RE = re.compile(
-    r"\s+|(?P<name>[a-z][a-zA-Z0-9_]*)|(?P<int>\d+)|(?P<op>->|\^-|\.\.|[()\[\]<>&|!?+;*,-])"
+    rf"\s+|(?P<name>{_NAME})|(?P<int>\d+)|(?P<op>->|\^-|\.\.|[()\[\]<>&|!?+;*,-])"
 )
+
+
+def is_atom_name(text: str) -> bool:
+    """True when a formula can mention an atom called ``text``."""
+    return re.fullmatch(_NAME, text) is not None and text not in KEYWORDS
 
 
 class ParseError(ValueError):

@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import random
+import tempfile
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from mdel.cli import main
+from mdel.formulas import pretty_print
+from mdel.laws import random_formula
 
 TRACE_43 = json.dumps({"alphabet": ["a", "b"], "lambda": 3, "tau": [0, 1, 4],
                        "there": [["a"], [], []]})
@@ -175,3 +183,80 @@ def test_check_rejects_non_integer_trace_fields(files, capsys, lam, tau):
     code, out, err = run(capsys, "check", formula, trace)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite, samples", [("mht-agreement", "0"), ("mht-agreement", "-1"),
+                                            ("untimed-independence", "-5")])
+def test_laws_rejects_vacuous_sample_counts(capsys, suite, samples):
+    # no sample means no check: a pass would be vacuous
+    code, out, err = run(capsys, "laws", suite, "--lambda-max", "1", "--samples", samples)
+    assert (code, out) == (2, "")
+    assert err == "error: --samples must be at least 1\n"
+
+
+@pytest.mark.parametrize("alphabet", ["a b", "ev", "a,w", "a,B", "a,1x", "a,b-c"])
+def test_alphabet_rejects_names_no_formula_can_mention(files, capsys, alphabet):
+    formula = files("f.mdel", "a\n")
+    for argv in (("equiv", formula, formula), ("laws", "boolean", "--samples", "1")):
+        code, out, err = run(capsys, *argv, "--alphabet", alphabet, "--lambda-max", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "not an atom name" in err
+    code, out, _ = run(capsys, "equiv", formula, formula, "--alphabet", "a, x_1,bB",
+                       "--lambda-max", "1")
+    assert code == 0 and out.startswith("EQUIVALENT")
+
+
+# -- fuzzing: every input gets exit 0, 1 or 2 and no traceback ---------------------
+
+_TOKENS = ["a", "b", "c", "x1", "ev", "alw", "evp", "alwp", "next", "wnext", "prev",
+           "wprev", "until", "since", "release", "trigger", "final", "initial", "top",
+           "bot", "step", "diamond", "box", "w", "!", "&", "|", "->", "(", ")", "[", "]",
+           "<", ">", "..", "-", "0", "1", "3", "*", "?", ";", "+", "^-", ",", "#"]
+_printed_formula = st.integers(0, 10 ** 6).map(
+    lambda seed: pretty_print(random_formula(random.Random(seed), ["a", "b"], 3)))
+_formula_text = st.sampled_from((
+    _printed_formula, _printed_formula,
+    st.lists(st.sampled_from(_TOKENS), max_size=24).map(" ".join),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=24))).flatmap(lambda s: s)
+
+
+@st.composite
+def _valid_trace_doc(draw):
+    lam = draw(st.integers(1, 4))
+    tau = [0]
+    for _ in range(lam - 1):
+        tau.append(tau[-1] + draw(st.integers(1, 3)))
+    there = [sorted(draw(st.sets(st.sampled_from("ab")))) for _ in range(lam)]
+    here = [[a for a in t if draw(st.booleans())] for t in there]
+    return {"alphabet": ["a", "b"], "lambda": lam, "tau": tau, "here": here, "there": there}
+
+
+_scalar = st.one_of(st.none(), st.booleans(), st.integers(-2, 6),
+                    st.floats(allow_nan=False), st.text(max_size=3))
+_field = st.one_of(_scalar, st.lists(st.one_of(
+    _scalar, st.lists(st.sampled_from(["a", "b", "z", "", 1, None]), max_size=3)), max_size=4))
+_messy_trace_doc = st.dictionaries(
+    st.sampled_from(["alphabet", "lambda", "tau", "here", "there"]), _field)
+# one_of would weigh every branch of the nested strategies alike; half of
+# the formulas and traces are well-formed, so that evaluation is reached
+_trace_text = st.sampled_from((
+    _valid_trace_doc().map(json.dumps), _valid_trace_doc().map(json.dumps),
+    st.one_of(_messy_trace_doc, _field).map(json.dumps),
+    st.text(max_size=16))).flatmap(lambda s: s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_formula_text, _trace_text, st.integers(-1, 3))
+def test_check_fuzz_exit_codes(formula, trace, position):
+    with tempfile.TemporaryDirectory() as d:
+        paths = [os.path.join(d, name) for name in ("f.mdel", "t.json")]
+        for path, text in zip(paths, (formula, trace)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", *paths, "--position", str(position)])
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("error: ")
