@@ -16,16 +16,18 @@ most significant, so ascending lane order is the order in which
 This is the only HT evaluator.  ``semantics.Evaluator`` reads one-lane
 batches, and every bounded scan (``is_tautology_bounded``, the law suites,
 the equilibrium search) walks the grids of :func:`grid_batches`: it
-evaluates its formulas once per batch, reads each lane's positions with
+evaluates its formulas once per batch, finds the lanes that may fail a
+check by whole-batch bit operations, reads only those lanes' positions with
 :func:`lane_mask` / :func:`lane_rows`, and builds a lane's trace
 (:meth:`Grid.trace`) only for a per-trace oracle or a counterexample.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
-from typing import Iterator, List, Optional, Sequence
+from operator import or_
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .formulas import (
     Atom, Bot, Box, Choice, Converse, Diamond, Formula, PathExpr, Seq, Star,
@@ -44,6 +46,16 @@ def iter_lanes(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def low_bit(mask: int) -> int:
+    """The lowest set bit of a lane or position mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def lanes_of(value: Iterable[int]) -> int:
+    """The lanes where a batch value is set at some position."""
+    return reduce(or_, value, 0)
 
 
 def lane_mask(value: List[int], lane: int) -> int:
@@ -299,18 +311,17 @@ class Grid:
                             tuple(t for _, t in states), self.batch.tau)
 
 
-def grid_batches(bounds: TraceBounds, total_only: Optional[bool] = None,
-                 shared: Optional[dict] = None) -> Iterator[Grid]:
+def grid_batches(bounds: TraceBounds, total_only: Optional[bool] = None) -> Iterator[Grid]:
     """One grid per lane chunk of every (lambda, tau), in enumeration order.
 
-    ``total_only`` defaults to the bounds' own; ``shared`` caches
-    lane-independent tables across the batches (and across calls).
+    ``total_only`` defaults to the bounds' own; the batches of one call share
+    their lane-independent tables.
     """
     total_only = bounds.total_only if total_only is None else total_only
     table = _state_table(bounds.alphabet, total_only)
     here = [h for h, _ in table]
     there = [t for _, t in table]
-    shared = {} if shared is None else shared
+    shared: dict = {}
     for lam in range(bounds.lambda_max + 1):
         suffix = lam  # chunks of at most LANE_LIMIT lanes
         while suffix and len(table) ** suffix > LANE_LIMIT:

@@ -10,18 +10,20 @@ The exhaustive scans walk the grids of :func:`mdel.lanes.grid_batches`.
 Per lane batch they evaluate the compiled side once, and the direct metric
 oracle (:class:`mdel.mht.MhtEvaluator`) once over the same time grid and
 atom columns; comparing whole batch values gives, per check, the mask of
-the lanes that fail it.  The lanes are then read in enumeration order, and
-a lane's trace is built only for the classical reference (total lanes) or a
-counterexample.  Counts and first counterexamples are therefore those of a
-trace-by-trace loop.
+the lanes that may fail it.  Each scan lists a grid's checks in per-lane
+order and hands them to one walker (:func:`_walk`), which reads only those
+lanes, in enumeration order, counts the lanes between them in bulk, and
+stops where the scan says.  The classical reference is a check on the total
+lanes (``Grid.total``) that reads one lane's evaluator at a time.  A lane's
+trace is built only for that reference or a counterexample.  Counts and
+first counterexamples are therefore those of a trace-by-trace loop.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
+from functools import lru_cache, partial
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import formulas as F
@@ -33,7 +35,9 @@ from .formulas import (
     pretty_print, formula_path, UNARY_METRIC, BINARY_METRIC, PAST_OPS,
 )
 from .intervals import Interval, IntervalError, NEG_OMEGA, OMEGA, UNTIMED
-from .lanes import LaneBatch, grid_batches, iter_lanes, lane_mask, lane_rows
+from .lanes import (
+    Grid, LaneBatch, grid_batches, iter_lanes, lane_mask, lane_rows, lanes_of, low_bit,
+)
 from .mht import MhtEvaluator
 from .semantics import Evaluator, HERE, THERE
 from .traces import TimedHTTrace, TraceBounds, trace_to_dict
@@ -55,10 +59,27 @@ class LawReport:
         return doc
 
 
-def _cex(trace: TimedHTTrace, position: int, **extra) -> dict:
+def _report(law_id: str, space: str, checked: int, violations: List[dict]) -> LawReport:
+    """A law fails with its first violation, if it has one."""
+    return LawReport(law_id, space, "fail" if violations else "pass", checked,
+                     violations[0] if violations else None)
+
+
+def _cex(trace: TimedHTTrace, position: int, **fields) -> dict:
+    """A counterexample document; formulas and paths are printed."""
     doc = {"trace": trace_to_dict(trace), "position": position}
-    doc.update(extra)
+    doc.update((key, _printed(value)) for key, value in fields.items())
     return doc
+
+
+def _printed(value):
+    if isinstance(value, Formula):
+        return pretty_print(value)
+    if isinstance(value, PathExpr):
+        return F.print_path(value)
+    if isinstance(value, tuple):
+        return [_printed(x) for x in value]
+    return value
 
 
 # -- interval and operator grids -------------------------------------------------
@@ -221,7 +242,7 @@ def random_theory(rng: random.Random, atoms: Sequence[str],
     return Theory(forms, frozenset(atoms))
 
 
-# -- combined agreement / persistence / totality scan ------------------------------
+# -- the lane walker shared by the exhaustive scans --------------------------------
 
 
 @dataclass
@@ -233,9 +254,103 @@ class ScanOutcome:
     totality_violations: List[dict] = field(default_factory=list)
 
     @property
+    def violations(self) -> int:
+        return (len(self.agreement_violations) + len(self.persistence_violations)
+                + len(self.totality_violations))
+
+    @property
     def clean(self) -> bool:
-        return not (self.agreement_violations or self.persistence_violations
-                    or self.totality_violations)
+        return not self.violations
+
+
+@dataclass(eq=False, slots=True)
+class _Check:
+    """One check of a grid scan; a scan lists its checks in per-lane order.
+
+    It counts ``count`` checks in every lane of ``scope``.  ``lanes`` are the
+    lanes that may fail it and ``positions(lane)`` the positions where such a
+    lane does (none: it passes; no ``positions``: every such lane fails at
+    position 0).  A failure is recorded in ``violations`` at its first
+    failing position, with the counterexample ``fields``.
+    """
+
+    violations: List[dict]
+    count: int
+    lanes: int
+    fields: dict
+    positions: Optional[Callable[[int], int]] = None
+    scope: int = -1
+    halts: bool = True
+
+
+def _value_check(violations: List[dict], count: int, value: List[int],
+                 fields: dict) -> _Check:
+    """The check that fails where a batch value is set."""
+    return _Check(violations, count, lanes_of(value), fields, partial(lane_mask, value))
+
+
+def _walk(out: ScanOutcome, grid: Grid, checks: Sequence[_Check],
+          limit: Optional[int] = None) -> bool:
+    """Count and check one grid's lanes for a scan; True when the scan stops.
+
+    Only the lanes that may fail a check are read, in enumeration order, and
+    a lane's trace is built only for a failure; the lanes between them are
+    counted in bulk.  With a ``limit``, the scan stops after a lane once it
+    holds that many violations; without, at the first failure that ``halts``.
+    """
+    per_lane: dict = {}  # scope -> checks counted in each of its lanes
+    for c in checks:
+        per_lane[c.scope] = per_lane.get(c.scope, 0) + c.count
+    suspects = [(i, c) for i, c in enumerate(checks) if c.lanes]
+    done = 0  # lanes counted so far
+    for lane in iter_lanes(lanes_of(c.lanes for _, c in suspects)):
+        _count(out, per_lane, done, lane)
+        done = lane + 1
+        trace = None
+        for i, c in suspects:
+            if c.lanes >> lane & 1 and (where := c.positions(lane) if c.positions else 1):
+                trace = trace or grid.trace(lane)
+                c.violations.append(_cex(trace, low_bit(where), **c.fields))
+                if c.halts and limit is None:  # the lane counts up to this check
+                    out.traces += 1
+                    out.checks += sum(d.count * (d.scope >> lane & 1) for d in checks[:i + 1])
+                    return True
+        _count(out, per_lane, lane, done)
+        if limit is not None and out.violations >= limit:
+            return True
+    _count(out, per_lane, done, grid.size)
+    return False
+
+
+def _count(out: ScanOutcome, per_lane: dict, start: int, stop: int) -> None:
+    """Count the lanes start..stop-1 in full, with each check in its scope."""
+    span = (1 << stop) - (1 << start)
+    out.traces += stop - start
+    out.checks += sum(n * (scope & span).bit_count() for scope, n in per_lane.items())
+
+
+def _classical(grid: Grid) -> Callable[[int], Evaluator]:
+    """The classical evaluator of a grid's lane, kept for one lane at a time."""
+    return lru_cache(maxsize=1)(lambda lane: Evaluator(grid.trace(lane)))
+
+
+def _sat_differs(classical, core: Formula, here: List[int], lane: int) -> int:
+    """Positions where the classical and the HT value of a total lane differ."""
+    return classical(lane).mdl_sat_mask(core) ^ lane_mask(here, lane)
+
+
+def _rel_differs(classical, rho: PathExpr, here: List[dict], lane: int) -> int:
+    return int(classical(lane).mdl_rel_rows(rho) != lane_rows(here, lane))
+
+
+def _direct_oracle(batch: LaneBatch) -> MhtEvaluator:
+    """The direct metric evaluator on a batch's time grid and atom columns."""
+    twin = batch.twin
+    total = None if twin is batch else MhtEvaluator(twin.tau, twin.columns, twin.full)
+    return MhtEvaluator(batch.tau, batch.columns, batch.full, total)
+
+
+# -- combined agreement / persistence / totality scan ------------------------------
 
 
 def agreement_scan(formulas: Sequence[Formula], bounds: TraceBounds,
@@ -253,66 +368,26 @@ def agreement_scan(formulas: Sequence[Formula], bounds: TraceBounds,
     for grid in grid_batches(bounds):
         batch = grid.batch
         lam = batch.lam
-        if lam == 0:
-            out.traces += grid.size
-            continue
-        per_lane = lam * len(pairs)  # checks
-        oracle = _direct_oracle(batch) if check_agreement else None
-        # per formula and position, the lanes failing persistence / agreement
-        faults = []
-        for surface, core, metric in pairs:
-            here, there = batch.sat(core), batch.twin.sat(core)
-            persist = [h & ~t for h, t in zip(here, there)]
-            agree = ([(o ^ h) | (ot ^ t) for o, ot, h, t in zip(
-                oracle.sat(surface), oracle.total.sat(surface), here, there)]
-                if check_agreement and metric else [])
-            faults.append((here, persist, _union(persist), agree, _union(agree)))
-        # the classical evaluator is the independent reference on total traces
-        suspects = grid.total
-        for _, _, persist_lanes, _, agree_lanes in faults:
-            suspects |= persist_lanes | agree_lanes
-        done = 0  # lanes counted so far
-        for lane in iter_lanes(suspects):
-            out.traces += lane + 1 - done
-            out.checks += per_lane * (lane + 1 - done)
-            done = lane + 1
-            trace = grid.trace(lane)
-            ev = Evaluator(trace) if grid.total >> lane & 1 else None
-            for (surface, core, _), (here, persist, persist_lanes, agree, agree_lanes) \
-                    in zip(pairs, faults):
-                if persist_lanes >> lane & 1:
-                    out.persistence_violations.append(_cex(
-                        trace, _low_bit(lane_mask(persist, lane)), formula=pretty_print(surface)))
-                if ev is not None:
-                    mm, hm = ev.mdl_sat_mask(core), lane_mask(here, lane)
-                    if mm != hm:
-                        out.totality_violations.append(
-                            _cex(trace, _low_bit(mm ^ hm), formula=pretty_print(surface)))
-                if agree_lanes >> lane & 1:
-                    out.agreement_violations.append(_cex(
-                        trace, _low_bit(lane_mask(agree, lane)), formula=pretty_print(surface)))
-            if (len(out.agreement_violations) + len(out.persistence_violations)
-                    + len(out.totality_violations)) >= max_violations:
-                return out
-        out.traces += grid.size - done
-        out.checks += per_lane * (grid.size - done)
+        checks = []
+        if lam:
+            oracle = _direct_oracle(batch) if check_agreement else None
+            classical = _classical(grid)  # the reference on total traces
+            for surface, core, metric in pairs:
+                here, there = batch.sat(core), batch.twin.sat(core)
+                fields = {"formula": surface}
+                checks += [
+                    _value_check(out.persistence_violations, lam,
+                                 [h & ~t for h, t in zip(here, there)], fields),
+                    _Check(out.totality_violations, 0, grid.total, fields,
+                           partial(_sat_differs, classical, core, here))]
+                if check_agreement and metric:
+                    checks.append(_value_check(out.agreement_violations, 0, [
+                        (o ^ h) | (ot ^ t) for o, ot, h, t in zip(
+                            oracle.sat(surface), oracle.total.sat(surface), here, there)],
+                        fields))
+        if _walk(out, grid, checks, max_violations):
+            break
     return out
-
-
-def _low_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-def _union(value: List[int]) -> int:
-    """The lanes where a batch value is set at some position."""
-    return reduce(or_, value, 0)
-
-
-def _direct_oracle(batch: LaneBatch) -> MhtEvaluator:
-    """The direct metric evaluator on a batch's time grid and atom columns."""
-    twin = batch.twin
-    total = None if twin is batch else MhtEvaluator(twin.tau, twin.columns, twin.full)
-    return MhtEvaluator(batch.tau, batch.columns, batch.full, total)
 
 
 def relation_scan(paths: Sequence[PathExpr], bounds: TraceBounds) -> ScanOutcome:
@@ -322,21 +397,17 @@ def relation_scan(paths: Sequence[PathExpr], bounds: TraceBounds) -> ScanOutcome
     paths = [F.compile_path(rho) for rho in paths]
     for grid in grid_batches(bounds):
         batch = grid.batch
-        values = [(batch.rel(rho), batch.twin.rel(rho)) for rho in paths]
-        for lane in range(grid.size):
-            out.traces += 1
-            ev = Evaluator(grid.trace(lane)) if grid.total >> lane & 1 else None
-            for rho, (here, there) in zip(paths, values):
-                rows_h, rows_t = lane_rows(here, lane), lane_rows(there, lane)
-                out.checks += 1
-                if any(h & ~t for h, t in zip(rows_h, rows_t)):
-                    out.persistence_violations.append(
-                        _cex(grid.trace(lane), 0, path=F.print_path(rho)))
-                if ev is not None and rows_h != ev.mdl_rel_rows(rho):
-                    out.totality_violations.append(
-                        _cex(ev.trace, 0, path=F.print_path(rho)))
-            if out.persistence_violations or out.totality_violations:
-                return out
+        classical = _classical(grid)
+        checks = []
+        for rho in paths:
+            here, there = batch.rel(rho), batch.twin.rel(rho)
+            beyond = lanes_of(x & ~t.get(i, 0) for h, t in zip(here, there) for i, x in h.items())
+            fields = {"path": rho}
+            checks += [_Check(out.persistence_violations, 1, beyond, fields),
+                       _Check(out.totality_violations, 0, grid.total, fields,
+                              partial(_rel_differs, classical, rho, here))]
+        if _walk(out, grid, checks, 1):
+            break
     return out
 
 
@@ -357,7 +428,7 @@ def star_properties(paths: Sequence[PathExpr], bounds: TraceBounds) -> Optional[
                 # least: recompute a closure independently and compare
                 least = _naive_closure(base, lam)
                 if not (reflexive and contains and transitive and least == star):
-                    return _cex(grid.trace(lane), 0, path=F.print_path(rho))
+                    return _cex(grid.trace(lane), 0, path=rho)
     return None
 
 
@@ -392,32 +463,27 @@ def boolean_scan(argument_pairs: Sequence[Tuple[Formula, Formula]],
     top_core = compile_to_core(TOP)
     for grid in grid_batches(bounds):
         batch = grid.batch
-        lam = batch.lam
-        full = (1 << lam) - 1
-        top = batch.sat(top_core)
-        pair_values = [([batch.sat(c) for c in cores], [batch.twin.sat(c) for c in cores[:2]])
-                       for _, _, cores in compiled]
-        for lane in range(grid.size):
-            out.traces += 1
-            if lam == 0:
-                continue
-            if lane_mask(top, lane) != full:
-                out.agreement_violations.append(_cex(grid.trace(lane), 0, formula="top"))
-            for (l, r, _), (here, there) in zip(compiled, pair_values):
-                lh, rh, *got = (lane_mask(x, lane) for x in here)
-                lt, rt = (lane_mask(x, lane) for x in there)
-                want_and = lh & rh
-                want_or = lh | rh
-                want_imp = (~lh | rh) & (~lt | rt) & full
-                want_neg = ~lt & full
-                out.checks += 4 * lam
-                for name, want, have in zip(("and", "or", "implies", "not"),
-                                            (want_and, want_or, want_imp, want_neg), got):
-                    if want != have:
-                        out.agreement_violations.append(
-                            _cex(grid.trace(lane), _low_bit(want ^ have), clause=name,
-                                 left=pretty_print(l), right=pretty_print(r)))
-                        return out
+        lam, full = batch.lam, batch.full
+        checks = []
+        if lam:
+            # a failure of top is recorded, but neither counted nor final
+            checks.append(_Check(out.agreement_violations, 0,
+                                 lanes_of(full ^ x for x in batch.sat(top_core)),
+                                 {"formula": "top"}, halts=False))
+            for l, r, cores in compiled:
+                lh, rh, *got = (batch.sat(c) for c in cores)
+                lt, rt = (batch.twin.sat(c) for c in cores[:2])
+                wants = ([x & y for x, y in zip(lh, rh)], [x | y for x, y in zip(lh, rh)],
+                         [(~x | y) & (~xt | yt) & full for x, y, xt, yt in zip(lh, rh, lt, rt)],
+                         [~xt & full for xt in lt])
+                # the pair's 4 * lam checks count before its first clause
+                for count, name, want, have in zip((4 * lam, 0, 0, 0),
+                                                   ("and", "or", "implies", "not"), wants, got):
+                    checks.append(_value_check(out.agreement_violations, count,
+                                               [w ^ h for w, h in zip(want, have)],
+                                               {"clause": name, "left": l, "right": r}))
+        if _walk(out, grid, checks):
+            break
     return out
 
 
@@ -427,88 +493,60 @@ def boolean_scan(argument_pairs: Sequence[Tuple[Formula, Formula]],
 def release_table_rows(m: int, n: int) -> List[Tuple[str, Formula, Formula]]:
     """The sixteen displayed equivalences, instantiated at bounds m > 0 and n.
 
-    Returns (row id, timed operator form, expanded right-hand side); the
-    m = 0 rows ignore the m argument.
+    Returns (row id, timed operator form, expanded right-hand side).  For
+    each interval shape I (co, cc, oo, oc: closed or open at each end), row
+    ``R-I-m`` reads ``a release_I(m,n) b`` as
+    ``alw_I(m,n) b | ev_J (a release (a | wnext b))``, with J = [0, m) when I
+    is closed at its lower end and [0, m] when it is open there; row
+    ``R-I-0`` (which ignores m) reads ``a release_I(0,n) b`` as
+    ``alw_I(0,n) b | a release c``, with c = b for a closed lower end and
+    ``a | wnext b`` for an open one.  The ``T`` rows are their past mirror
+    images: trigger, alwp, evp and wprev.
     """
     a, b = Atom("a"), Atom("b")
-
-    def rel_tail():
-        return Or(a, WNext(UNTIMED, b))
-
-    def trg_tail():
-        return Or(a, WPrev(UNTIMED, b))
-
-    r_untimed: Callable[[Formula], Formula] = lambda rhs: Release(UNTIMED, a, rhs)
-    t_untimed: Callable[[Formula], Formula] = lambda rhs: Trigger(UNTIMED, a, rhs)
-    co, cc, oo, oc = (Interval.closed_open, Interval.closed_closed,
-                      Interval.open_open, Interval.open_closed)
-    rows = [
-        ("R-co-m", Release(co(m, n), a, b),
-         Or(Always(co(m, n), b), Eventually(co(0, m), r_untimed(rel_tail())))),
-        ("R-co-0", Release(co(0, n), a, b),
-         Or(Always(co(0, n), b), r_untimed(b))),
-        ("R-cc-m", Release(cc(m, n), a, b),
-         Or(Always(cc(m, n), b), Eventually(co(0, m), r_untimed(rel_tail())))),
-        ("R-cc-0", Release(cc(0, n), a, b),
-         Or(Always(cc(0, n), b), r_untimed(b))),
-        ("R-oo-m", Release(oo(m, n), a, b),
-         Or(Always(oo(m, n), b), Eventually(cc(0, m), r_untimed(rel_tail())))),
-        ("R-oo-0", Release(oo(0, n), a, b),
-         Or(Always(oo(0, n), b), r_untimed(rel_tail()))),
-        ("R-oc-m", Release(oc(m, n), a, b),
-         Or(Always(oc(m, n), b), Eventually(cc(0, m), r_untimed(rel_tail())))),
-        ("R-oc-0", Release(oc(0, n), a, b),
-         Or(Always(oc(0, n), b), r_untimed(rel_tail()))),
-        ("T-co-m", Trigger(co(m, n), a, b),
-         Or(AlwPast(co(m, n), b), EvPast(co(0, m), t_untimed(trg_tail())))),
-        ("T-co-0", Trigger(co(0, n), a, b),
-         Or(AlwPast(co(0, n), b), t_untimed(b))),
-        ("T-cc-m", Trigger(cc(m, n), a, b),
-         Or(AlwPast(cc(m, n), b), EvPast(co(0, m), t_untimed(trg_tail())))),
-        ("T-cc-0", Trigger(cc(0, n), a, b),
-         Or(AlwPast(cc(0, n), b), t_untimed(b))),
-        ("T-oo-m", Trigger(oo(m, n), a, b),
-         Or(AlwPast(oo(m, n), b), EvPast(cc(0, m), t_untimed(trg_tail())))),
-        ("T-oo-0", Trigger(oo(0, n), a, b),
-         Or(AlwPast(oo(0, n), b), t_untimed(trg_tail()))),
-        ("T-oc-m", Trigger(oc(m, n), a, b),
-         Or(AlwPast(oc(m, n), b), EvPast(cc(0, m), t_untimed(trg_tail())))),
-        ("T-oc-0", Trigger(oc(0, n), a, b),
-         Or(AlwPast(oc(0, n), b), t_untimed(trg_tail()))),
-    ]
+    co, cc = Interval.closed_open, Interval.closed_closed
+    shapes = (("co", co), ("cc", cc), ("oo", Interval.open_open), ("oc", Interval.open_closed))
+    rows = []
+    for side, op, alw, ev, step in (("R", Release, Always, Eventually, WNext),
+                                    ("T", Trigger, AlwPast, EvPast, WPrev)):
+        tail = Or(a, step(UNTIMED, b))
+        for name, iv in shapes:
+            closed = name[0] == "c"
+            rows += [
+                (f"{side}-{name}-m", op(iv(m, n), a, b),
+                 Or(alw(iv(m, n), b), ev((co if closed else cc)(0, m), op(UNTIMED, a, tail)))),
+                (f"{side}-{name}-0", op(iv(0, n), a, b),
+                 Or(alw(iv(0, n), b), op(UNTIMED, a, b if closed else tail)))]
     return rows
 
 
-def check_equivalence_dual(lhs: Formula, rhs: Formula, bounds: TraceBounds,
-                           shared: Optional[dict] = None) -> Tuple[Optional[dict], int]:
+def check_equivalence_dual(lhs: Formula, rhs: Formula,
+                           bounds: TraceBounds) -> Tuple[Optional[dict], int]:
     """Pointwise equivalence in both worlds, with the left side additionally
     evaluated by the direct metric oracle when possible.  Returns the first
     counterexample (or None) and the number of positions checked."""
     cores = [compile_to_core(lhs), compile_to_core(rhs)]
     metric_l = F.is_metric(lhs)
-    checked = 0
-    for grid in grid_batches(bounds, shared=shared):
+    out = ScanOutcome()
+    for grid in grid_batches(bounds):
         batch = grid.batch
         lam = batch.lam
         if lam == 0:
             continue
         lh, rh = (batch.sat(c) for c in cores)
         lt, rt = (batch.twin.sat(c) for c in cores)
-        unequal = [(a ^ b) | (c ^ d) for a, b, c, d in zip(lh, rh, lt, rt)]
-        wrong = ([o ^ x for o, x in zip(_direct_oracle(batch).sat(lhs), lh)]
-                 if metric_l else [])
-        bad = _union(unequal) | _union(wrong)
-        if not bad:
-            checked += lam * grid.size
-            continue
-        lane = _low_bit(bad)
-        checked += lam * (lane + 1)
-        if _union(unequal) >> lane & 1:
-            return _cex(grid.trace(lane), _low_bit(lane_mask(unequal, lane)),
-                        left=pretty_print(lhs), right=pretty_print(rhs)), checked
-        return _cex(grid.trace(lane), _low_bit(lane_mask(wrong, lane)), left=pretty_print(lhs),
-                    note="direct oracle disagrees with compiled form"), checked
-    return None, checked
+        checks = [_value_check(out.agreement_violations, lam,
+                               [(a ^ b) | (c ^ d) for a, b, c, d in zip(lh, rh, lt, rt)],
+                               {"left": lhs, "right": rhs})]
+        if metric_l:
+            checks.append(_value_check(
+                out.agreement_violations, 0,
+                [o ^ x for o, x in zip(_direct_oracle(batch).sat(lhs), lh)],
+                {"left": lhs, "note": "direct oracle disagrees with compiled form"}))
+        if _walk(out, grid, checks):
+            break
+    bad = out.agreement_violations
+    return (bad[0] if bad else None), out.checks
 
 
 def check_release_table(bounds: TraceBounds, m_values: Sequence[int] = (1, 2, 3),
@@ -530,8 +568,7 @@ def check_release_table(bounds: TraceBounds, m_values: Sequence[int] = (1, 2, 3)
                 if sig not in row:
                     row[sig] = ((mv, nv), lhs, rhs,
                                 compile_to_core(lhs), compile_to_core(rhs))
-    failures = {row_id: None for row_id in instances}
-    checked = {row_id: 0 for row_id in instances}
+    rows = {row_id: ScanOutcome() for row_id in instances}
     for grid in grid_batches(bounds):
         batch = grid.batch
         lam = batch.lam
@@ -540,32 +577,20 @@ def check_release_table(bounds: TraceBounds, m_values: Sequence[int] = (1, 2, 3)
         oracle = _direct_oracle(batch)
         # rows are independent: each stops at its first failing lane and case
         for row_id, cases in instances.items():
-            if failures[row_id] is not None:
+            out = rows[row_id]
+            if out.agreement_violations:
                 continue
-            bad = []  # per case and position, the lanes failing it
-            for _, lhs, _, cl, cr in cases.values():
+            checks = []
+            for tag, lhs, rhs, cl, cr in cases.values():
                 values = (batch.sat(cl), batch.sat(cr), batch.twin.sat(cl), batch.twin.sat(cr),
                           oracle.sat(lhs))
-                bad.append([(lh ^ rh) | (lt ^ rt) | (om ^ lh)
-                            for lh, rh, lt, rt, om in zip(*values)])
-            lanes = _union([_union(case) for case in bad])
-            if not lanes:
-                checked[row_id] += lam * len(bad) * grid.size
-                continue
-            lane = _low_bit(lanes)
-            checked[row_id] += lam * len(bad) * lane
-            for (tag, lhs, rhs, _, _), case in zip(cases.values(), bad):
-                checked[row_id] += lam
-                diff = lane_mask(case, lane)
-                if diff:
-                    failures[row_id] = _cex(grid.trace(lane), _low_bit(diff),
-                                            left=pretty_print(lhs), right=pretty_print(rhs),
-                                            bounds=list(tag))
-                    break
-    return [LawReport(row_id, bounds.describe(),
-                      "fail" if failures[row_id] else "pass",
-                      checked[row_id], failures[row_id])
-            for row_id in sorted(instances)]
+                checks.append(_value_check(
+                    out.agreement_violations, lam,
+                    [(lh ^ rh) | (lt ^ rt) | (om ^ lh) for lh, rh, lt, rt, om in zip(*values)],
+                    {"left": lhs, "right": rhs, "bounds": tag}))
+            _walk(out, grid, checks)
+    return [_report(row_id, bounds.describe(), rows[row_id].checks,
+                    rows[row_id].agreement_violations) for row_id in sorted(instances)]
 
 
 def check_release_naive(bounds: TraceBounds,
@@ -578,13 +603,11 @@ def check_release_naive(bounds: TraceBounds,
     a, b = Atom("a"), Atom("b")
     naive_r = Or(Until(iv, b, And(a, b)), Always(iv, b))
     naive_t = Or(Since(iv, b, And(a, b)), AlwPast(iv, b))
-    shared: dict = {}
     reports = []
     for law_id, lhs, rhs in (("release-naive-R", Release(iv, a, b), naive_r),
                              ("trigger-naive-T", Trigger(iv, a, b), naive_t)):
-        cex, checked = check_equivalence_dual(lhs, rhs, bounds, shared)
-        reports.append(LawReport(law_id, bounds.describe(),
-                                 "fail" if cex else "pass", checked, cex))
+        cex, checked = check_equivalence_dual(lhs, rhs, bounds)
+        reports.append(_report(law_id, bounds.describe(), checked, [cex] if cex else []))
     return reports
 
 
@@ -606,17 +629,11 @@ def em_collapse_scan(theories: Sequence[Theory], bounds: TraceBounds) -> ScanOut
     for theory in theories:
         compiled = [compile_to_core(f) for f in theory.formulas]
         for grid, em_models in grids:
-            lam = grid.batch.lam
-            models = grid.batch.models(compiled, em_models)
-            for lane in range(grid.size):
-                out.traces += 1
-                if lam == 0 or not models >> lane & 1:
-                    continue
-                out.checks += 1
-                if not grid.total >> lane & 1:
-                    out.agreement_violations.append(_cex(
-                        grid.trace(lane), 0, theory=[pretty_print(f) for f in theory.formulas]))
-                    return out
+            # one check per model lane
+            models = grid.batch.models(compiled, em_models) if grid.batch.lam else 0
+            if _walk(out, grid, [_Check(out.agreement_violations, 1, models & ~grid.total,
+                                        {"theory": theory.formulas}, scope=models)]):
+                return out
     return out
 
 
@@ -654,11 +671,10 @@ def tau_independence_scan(formulas: Sequence[Formula], rng: random.Random,
         out.traces += 1
         out.checks += 2 * lam
         for world in (HERE, THERE):
-            if ev1.sat_mask(core, world) != ev2.sat_mask(core, world):
-                diff = ev1.sat_mask(core, world) ^ ev2.sat_mask(core, world)
+            diff = ev1.sat_mask(core, world) ^ ev2.sat_mask(core, world)
+            if diff:
                 out.agreement_violations.append(
-                    _cex(m1, _low_bit(diff), formula=pretty_print(f),
-                         other_tau=list(tau2)))
+                    _cex(m1, low_bit(diff), formula=f, other_tau=list(tau2)))
                 return out
     return out
 
@@ -680,27 +696,15 @@ def invert_past_scan(formulas: Sequence[Formula], bounds: TraceBounds) -> ScanOu
         pairs.append((f, compile_to_core(g)))
     for grid in grid_batches(bounds):
         batch = grid.batch
-        lam = batch.lam
-        if lam == 0:
-            out.traces += grid.size
-            continue
-        oracle = _direct_oracle(batch)
-        wrong = [[got ^ want for got, want in zip(batch.sat(core), oracle.sat(f))]
-                 for f, core in pairs]
-        lanes = _union([_union(w) for w in wrong])
-        if not lanes:
-            out.traces += grid.size
-            out.checks += lam * len(pairs) * grid.size
-            continue
-        lane = _low_bit(lanes)
-        out.traces += lane + 1
-        out.checks += lam * len(pairs) * lane
-        for (f, _), w in zip(pairs, wrong):
-            out.checks += lam
-            if _union(w) >> lane & 1:
-                out.agreement_violations.append(
-                    _cex(grid.trace(lane), _low_bit(lane_mask(w, lane)), formula=pretty_print(f)))
-                return out
+        checks = []
+        if batch.lam:
+            oracle = _direct_oracle(batch)
+            checks = [_value_check(out.agreement_violations, batch.lam,
+                                   [x ^ y for x, y in zip(batch.sat(core), oracle.sat(f))],
+                                   {"formula": f})
+                      for f, core in pairs]
+        if _walk(out, grid, checks):
+            break
     return out
 
 
@@ -756,39 +760,31 @@ def run_suite(name: str, bounds: TraceBounds, seed: int = 0,
         formulas = _sampled_formulas(rng, atoms, samples)
         out = agreement_scan(formulas, bounds, check_agreement=False)
         rel = relation_scan(_default_paths(atoms), bounds)
-        bad = out.persistence_violations + rel.persistence_violations
-        return [LawReport("persistence", space, "fail" if bad else "pass",
-                          out.checks + rel.checks, bad[0] if bad else None)]
+        return [_report("persistence", space, out.checks + rel.checks,
+                        out.persistence_violations + rel.persistence_violations)]
     if name == "totality":
         formulas = _sampled_formulas(rng, atoms, samples)
         total_bounds = TraceBounds(bounds.alphabet, bounds.lambda_max,
                                    bounds.max_gap, total_only=True)
         out = agreement_scan(formulas, total_bounds, check_agreement=False)
         rel = relation_scan(_default_paths(atoms), total_bounds)
-        bad = out.totality_violations + rel.totality_violations
-        return [LawReport("totality", space, "fail" if bad else "pass",
-                          out.checks + rel.checks, bad[0] if bad else None)]
+        return [_report("totality", space, out.checks + rel.checks,
+                        out.totality_violations + rel.totality_violations)]
     if name == "boolean":
         args = _sampled_formulas(rng, atoms, max(samples // 4, 8))
         pairs = [(args[i], args[(i * 7 + 3) % len(args)]) for i in range(len(args))]
         out = boolean_scan(pairs, bounds)
-        bad = out.agreement_violations
-        return [LawReport("boolean-clauses", space, "fail" if bad else "pass",
-                          out.checks, bad[0] if bad else None)]
+        return [_report("boolean-clauses", space, out.checks, out.agreement_violations)]
     if name == "mht-agreement":
         formulas = _sampled_formulas(rng, atoms, samples, dynamic=False)
         out = agreement_scan(formulas, bounds)
-        bad = (out.agreement_violations + out.persistence_violations
-               + out.totality_violations)
-        return [LawReport("mht-agreement", space, "fail" if bad else "pass",
-                          out.checks, bad[0] if bad else None)]
+        return [_report("mht-agreement", space, out.checks, out.agreement_violations
+                        + out.persistence_violations + out.totality_violations)]
     if name == "untimed-independence":
         formulas = _sampled_formulas(rng, atoms, max(samples // 2, 10),
                                      untimed_only=True)
         out = tau_independence_scan(formulas, rng, bounds, samples)
-        bad = out.agreement_violations
-        return [LawReport("untimed-independence", space, "fail" if bad else "pass",
-                          out.checks, bad[0] if bad else None)]
+        return [_report("untimed-independence", space, out.checks, out.agreement_violations)]
     if name == "release-table":
         return check_release_table(bounds)
     if name == "release-naive":
@@ -796,21 +792,17 @@ def run_suite(name: str, bounds: TraceBounds, seed: int = 0,
     if name == "em-collapse":
         theories = [random_theory(rng, atoms) for _ in range(max(samples // 2, 20))]
         out = em_collapse_scan(theories, bounds)
-        bad = out.agreement_violations
-        return [LawReport("em-collapse", space, "fail" if bad else "pass",
-                          out.checks, bad[0] if bad else None)]
+        return [_report("em-collapse", space, out.checks, out.agreement_violations)]
     if name == "invert-past":
         formulas = bkt_fragment_formulas(rng, atoms, samples)
         past_free = [f for f in formulas if not any(type(x) is EvPast for x in F.walk(f))]
         for f in past_free:
             if invert_past(f) != f:
-                return [LawReport("invert-past", space, "fail", 0,
-                                  {"formula": pretty_print(f),
-                                   "note": "not a fixed point on past-free input"})]
+                return [_report("invert-past", space, 0,
+                                [{"formula": pretty_print(f),
+                                  "note": "not a fixed point on past-free input"}])]
         out = invert_past_scan(formulas, bounds)
-        bad = out.agreement_violations
-        return [LawReport("invert-past", space, "fail" if bad else "pass",
-                          out.checks, bad[0] if bad else None)]
+        return [_report("invert-past", space, out.checks, out.agreement_violations)]
     raise KeyError(f"unknown law suite: {name}")
 
 

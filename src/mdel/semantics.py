@@ -11,22 +11,24 @@ there-world twin is the batch of the collapsed total trace.  Bounded scans
 (``is_tautology_bounded`` here, the law suites in :mod:`mdel.laws`) evaluate
 whole grids of traces at once instead.  The classical single-world
 evaluator (``mdl_sat_mask``/``mdl_rel_rows``) is a separate recursion that
-shares no code with the lane engine, so the totality law compares two
-independent computations.
+shares no evaluation code with the lane engine (only the bit iterator
+``iter_lanes``), so the totality law compares two independent computations.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from .formulas import (
     Atom, Bot, Box, Choice, Converse, Diamond, Formula, PathExpr, Seq, Star,
     Step, Test, compile_to_core,
 )
 from .intervals import Interval
-from .lanes import LaneBatch, grid_batches, lane_mask, lane_rows, trace_columns
+from .lanes import (
+    LaneBatch, grid_batches, iter_lanes, lane_mask, lane_rows, lanes_of, low_bit, trace_columns,
+)
 from .traces import TimedHTTrace, TraceBounds, total_of
 
 
@@ -50,13 +52,6 @@ class AccessRelation:
 
     def __le__(self, other: "AccessRelation") -> bool:
         return self.pairs <= other.pairs
-
-
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class Evaluator:
@@ -157,7 +152,7 @@ class Evaluator:
                 a = self.mdl_rel_rows(rho.body)
                 out = [0] * self.lam
                 for k, row in enumerate(a):
-                    for i in _iter_bits(row):
+                    for i in iter_lanes(row):
                         out[i] |= 1 << k
                 rows = tuple(out)
             else:
@@ -175,7 +170,7 @@ def _time_rows(tau: tuple, iv: Interval) -> Tuple[int, ...]:
 
 def _image(rows: Tuple[int, ...], sources: int) -> int:
     out = 0
-    for j in _iter_bits(sources):
+    for j in iter_lanes(sources):
         out |= rows[j]
     return out
 
@@ -188,7 +183,7 @@ def _closure(rows: Tuple[int, ...]) -> Tuple[int, ...]:
         changed = False
         for k in range(len(out)):
             acc = out[k]
-            for j in _iter_bits(acc):
+            for j in iter_lanes(acc):
                 acc |= out[j]
             if acc != out[k]:
                 out[k] = acc
@@ -210,7 +205,7 @@ def accessibility(rho: PathExpr, m: TimedHTTrace, world: World = HERE) -> Access
 
     ev = Evaluator(m)
     rows = ev.rel_rows(compile_path(rho), world)
-    pairs = frozenset((k, i) for k, row in enumerate(rows) for i in _iter_bits(row))
+    pairs = frozenset((k, i) for k, row in enumerate(rows) for i in iter_lanes(row))
     return AccessRelation(pairs)
 
 
@@ -253,8 +248,7 @@ class Verdict:
                 "position": k}
 
 
-def is_tautology_bounded(f: Formula, bounds: TraceBounds,
-                         shared: Optional[dict] = None) -> Verdict:
+def is_tautology_bounded(f: Formula, bounds: TraceBounds) -> Verdict:
     """Exhaustively check f at every position of every trace within bounds.
 
     Returns the first counterexample in enumeration order (trace order, then
@@ -263,18 +257,16 @@ def is_tautology_bounded(f: Formula, bounds: TraceBounds,
     core = compile_to_core(f)
     traces = 0
     positions = 0
-    for grid in grid_batches(bounds, shared=shared):
-        lam = grid.batch.lam
-        value = grid.batch.sat(core)
-        for lane in range(grid.size):
-            traces += 1
-            if lam == 0:
-                continue
-            positions += lam
-            missing = ~lane_mask(value, lane) & ((1 << lam) - 1)
-            if missing:
-                k = (missing & -missing).bit_length() - 1
-                return Verdict(False, (grid.trace(lane), k), traces, positions)
+    for grid in grid_batches(bounds):
+        batch = grid.batch
+        missing = [batch.full ^ x for x in batch.sat(core)]
+        lanes = lanes_of(missing)
+        if lanes:  # the first failing lane, at its first failing position
+            lane = low_bit(lanes)
+            return Verdict(False, (grid.trace(lane), low_bit(lane_mask(missing, lane))),
+                           traces + lane + 1, positions + batch.lam * (lane + 1))
+        traces += grid.size
+        positions += batch.lam * grid.size
     return Verdict(True, None, traces, positions)
 
 
@@ -284,7 +276,6 @@ def iff(f: Formula, g: Formula) -> Formula:
     return And(Implies(f, g), Implies(g, f))
 
 
-def equiv_bounded(f: Formula, g: Formula, bounds: TraceBounds,
-                  shared: Optional[dict] = None) -> Verdict:
+def equiv_bounded(f: Formula, g: Formula, bounds: TraceBounds) -> Verdict:
     """Bounded equivalence: tautology check of the biconditional."""
-    return is_tautology_bounded(iff(f, g), bounds, shared=shared)
+    return is_tautology_bounded(iff(f, g), bounds)

@@ -107,6 +107,10 @@ def load_trace(doc) -> TimedHTTrace:
     here = doc.get("here", there)
     if not (isinstance(tau, list) and isinstance(there, list) and isinstance(here, list)):
         raise TraceError("tau, here and there must be lists")
+    states = here + there
+    if not (all(isinstance(s, list) for s in states)
+            and all(isinstance(a, str) for s in states for a in s)):
+        raise TraceError("every here and there state must be a list of atom names")
     if not all(_is_int(t) for t in tau):
         raise TraceError("tau entries must be integers")
     if not (len(tau) == len(there) == len(here) == lam):

@@ -185,6 +185,16 @@ def test_check_rejects_non_integer_trace_fields(files, capsys, lam, tau):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("there", [["ab", ""], [{"a": 5}, []]])
+def test_check_rejects_states_that_are_not_lists(files, capsys, there):
+    doc = {"alphabet": ["a", "b"], "lambda": 2, "tau": [0, 1], "there": there}
+    trace = files("t.json", json.dumps(doc))
+    formula = files("f.mdel", "a\n")
+    code, out, err = run(capsys, "check", formula, trace)
+    assert (code, out) == (2, "")
+    assert err == "error: every here and there state must be a list of atom names\n"
+
+
 @pytest.mark.parametrize("suite, samples", [("mht-agreement", "0"), ("mht-agreement", "-1"),
                                             ("untimed-independence", "-5")])
 def test_laws_rejects_vacuous_sample_counts(capsys, suite, samples):
@@ -233,8 +243,10 @@ def _valid_trace_doc(draw):
 
 _scalar = st.one_of(st.none(), st.booleans(), st.integers(-2, 6),
                     st.floats(allow_nan=False), st.text(max_size=3))
-_field = st.one_of(_scalar, st.lists(st.one_of(
-    _scalar, st.lists(st.sampled_from(["a", "b", "z", "", 1, None]), max_size=3)), max_size=4))
+# a state may come as a list, a string, an object or any other scalar
+_state = st.one_of(_scalar, st.lists(st.sampled_from(["a", "b", "z", "", 1, None]), max_size=3),
+                   st.dictionaries(st.sampled_from(["a", "b", "z"]), _scalar, max_size=2))
+_field = st.one_of(_scalar, st.lists(_state, max_size=4))
 _messy_trace_doc = st.dictionaries(
     st.sampled_from(["alphabet", "lambda", "tau", "here", "there"]), _field)
 # one_of would weigh every branch of the nested strategies alike; half of

@@ -63,6 +63,21 @@ def test_schema_errors():
                         "there": [[]] * len(tau)})
 
 
+@pytest.mark.parametrize("field, states", [
+    ("there", ["ab", ""]),        # a string is not read as its characters
+    ("there", [{"a": 5}]),        # nor an object as its keys
+    ("here", [["a"], "a"]),
+    ("there", [["a", 1]]),
+    ("there", [None]),
+    ("here", [[["a"]]]),
+])
+def test_states_must_be_lists_of_atom_names(field, states):
+    doc = {"alphabet": ["a", "b"], "lambda": len(states), "tau": list(range(len(states))),
+           "there": [["a", "b"]] * len(states), field: states}
+    with pytest.raises(TraceError, match="state must be a list of atom names"):
+        load_trace(doc)
+
+
 def test_dump_round_trips_and_omits_here_when_total():
     m = load_trace(DOC_43)
     doc = trace_to_dict(m)
