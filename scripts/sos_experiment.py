@@ -16,10 +16,9 @@ import argparse
 import sys
 import time
 
-from mdel.equilibrium import _compile_theory, _equilibrium_check, enumerate_equilibrium
+from mdel.equilibrium import enumerate_equilibrium
 from mdel.sos import (
-    ALPHABET, CURATED_GRID, ORIGINAL, RESCALED, classify, iter_grid_traces,
-    sos_theory,
+    ALPHABET, CURATED_GRID, ORIGINAL, RESCALED, classify, curated_space, sos_theory,
 )
 from mdel.traces import TraceBounds
 
@@ -46,18 +45,13 @@ def run_rescaled(lambda_max: int, max_gap: int, verbose: bool) -> dict:
 
 
 def run_grid(verbose: bool) -> dict:
-    compiled = _compile_theory(sos_theory(ORIGINAL))
-    shared: dict = {}
     counts: dict = {}
     start = time.perf_counter()
-    for t in iter_grid_traces(CURATED_GRID):
-        verdict = _equilibrium_check(t, compiled, shared)
-        if verdict.status != "equilibrium":
-            continue
-        fam = classify(t, ORIGINAL)
+    for result in enumerate_equilibrium(sos_theory(ORIGINAL), curated_space(CURATED_GRID)):
+        fam = classify(result.model, ORIGINAL)
         counts[fam] = counts.get(fam, 0) + 1
         if verbose:
-            print(f"  [{fam}] {render(t)}")
+            print(f"  [{fam}] {render(result.model)}")
     elapsed = time.perf_counter() - start
     print(f"curated grid run (tau in {list(CURATED_GRID)}): "
           f"{sum(counts.values())} models in {elapsed:.1f}s -> {counts}")

@@ -16,9 +16,8 @@ from .formulas import (
 )
 from .parser import ParseError, parse_formula, parse_path, parse_theory
 from .traces import (
-    TimedHTTrace, TraceBounds, TraceError, dump_trace, enumerate_traces,
-    enumerate_total_traces_with_tau, load_trace, make_trace, strictly_below,
-    total_of, trace_to_dict,
+    TimedHTTrace, TimeGrids, TraceBounds, TraceError, dump_trace, enumerate_traces,
+    load_trace, make_trace, strictly_below, total_of, trace_to_dict,
 )
 from .semantics import (
     AccessRelation, Evaluator, HERE, THERE, Verdict, World, accessibility,

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Optional
 
 from .formulas import Theory, compile_to_core
 from .lanes import LaneBatch, grid_batches, iter_lanes, trace_columns
-from .traces import TimedHTTrace, TraceBounds, _state_table, trace_to_dict
+from .traces import Space, TimedHTTrace, _state_table, trace_to_dict
 
 
 @dataclass(frozen=True)
@@ -109,31 +109,26 @@ def _minimality(total: LaneBatch, compiled, models: int,
     return verdicts
 
 
-def _equilibrium_check(t: TimedHTTrace, compiled, shared: dict) -> EquilibriumVerdict:
-    """Check one total trace; ``shared`` caches lane-independent tables across calls."""
-    total = LaneBatch(t.tau, trace_columns(t.there), 1, shared=shared)
+def is_equilibrium(t: TimedHTTrace, theory: Theory) -> EquilibriumVerdict:
+    """Check a total trace: model first, then exhaustive search for a blocker."""
+    if not t.is_total:
+        raise ValueError("equilibrium checking is defined on total traces only")
+    compiled = _compile_theory(theory)
+    total = LaneBatch(t.tau, trace_columns(t.there), 1)
     if not total.models(compiled):
         return EquilibriumVerdict("not-model", None, 0)
     occurrences = [(i, a) for i, state in enumerate(t.there) for a in sorted(state)]
     witnesses, removed = _minimality(total, compiled, 1, lambda lane: occurrences)[0]
     if removed is None:
         return EquilibriumVerdict("equilibrium", None, witnesses)
-    here = [set(state) for state in t.there]
-    for i, a in removed:
-        here[i].discard(a)
-    blocker = TimedHTTrace(t.alphabet, tuple(frozenset(s) for s in here), t.there, t.tau)
-    return EquilibriumVerdict("blocked", blocker, witnesses)
+    here = tuple(s - {a for j, a in removed if j == i} for i, s in enumerate(t.there))
+    return EquilibriumVerdict("blocked", TimedHTTrace(t.alphabet, here, t.there, t.tau),
+                              witnesses)
 
 
-def is_equilibrium(t: TimedHTTrace, theory: Theory) -> EquilibriumVerdict:
-    """Check a total trace: model first, then exhaustive search for a blocker."""
-    if not t.is_total:
-        raise ValueError("equilibrium checking is defined on total traces only")
-    return _equilibrium_check(t, _compile_theory(theory), {})
-
-
-def enumerate_equilibrium(theory: Theory, bounds: TraceBounds) -> Iterator[EquilibriumResult]:
-    """All equilibrium models within bounds, grouped by ascending length."""
+def enumerate_equilibrium(theory: Theory, bounds: Space) -> Iterator[EquilibriumResult]:
+    """All equilibrium models of a space's total traces, in enumeration order
+    (grouped by ascending length for ``TraceBounds``)."""
     if not theory.alphabet <= bounds.alphabet:
         raise ValueError("theory alphabet must be contained in the search alphabet")
     compiled = _compile_theory(theory)
@@ -151,7 +146,7 @@ def enumerate_equilibrium(theory: Theory, bounds: TraceBounds) -> Iterator[Equil
                 yield EquilibriumResult(grid.trace(lane), total.lam, witnesses)
 
 
-def iter_models(theory: Theory, bounds: TraceBounds) -> Iterator[TimedHTTrace]:
+def iter_models(theory: Theory, bounds: Space) -> Iterator[TimedHTTrace]:
     """All HT-traces within bounds that model the theory (not just total ones)."""
     compiled = _compile_theory(theory)
     for grid in grid_batches(bounds):

@@ -33,7 +33,7 @@ from .formulas import (
     Atom, Bot, Box, Choice, Converse, Diamond, Formula, PathExpr, Seq, Star,
     Step, Test,
 )
-from .traces import TimedHTTrace, TraceBounds, _gap_grids, _state_table
+from .traces import Space, TimedHTTrace, _state_table
 
 # A length whose lane space is wider than this is split into chunks that fix
 # the states of the first positions; it bounds the size of every lane mask.
@@ -311,28 +311,29 @@ class Grid:
                             tuple(t for _, t in states), self.batch.tau)
 
 
-def grid_batches(bounds: TraceBounds, total_only: Optional[bool] = None) -> Iterator[Grid]:
-    """One grid per lane chunk of every (lambda, tau), in enumeration order.
+def grid_batches(space: Space, total_only: Optional[bool] = None) -> Iterator[Grid]:
+    """One grid per lane chunk of every time grid of a space, in enumeration order.
 
-    ``total_only`` defaults to the bounds' own; the batches of one call share
-    their lane-independent tables.
+    ``space`` is a ``TraceBounds`` or a ``TimeGrids``; ``total_only`` defaults
+    to the space's own.  The batches of one call share their lane-independent
+    tables.
     """
-    total_only = bounds.total_only if total_only is None else total_only
-    table = _state_table(bounds.alphabet, total_only)
+    total_only = space.total_only if total_only is None else total_only
+    table = _state_table(space.alphabet, total_only)
     here = [h for h, _ in table]
     there = [t for _, t in table]
     shared: dict = {}
-    for lam in range(bounds.lambda_max + 1):
-        suffix = lam  # chunks of at most LANE_LIMIT lanes
-        while suffix and len(table) ** suffix > LANE_LIMIT:
-            suffix -= 1
-        # the columns depend on the length only, not on tau
-        chunks = [(prefix, grid_columns(here, prefix, suffix),
-                   None if total_only else grid_columns(there, prefix, suffix)[0])
-                  for prefix in product(range(len(table)), repeat=lam - suffix)]
-        for tau in _gap_grids(lam, bounds.max_gap):
-            for prefix, (columns, full), there_columns in chunks:
-                twin = (None if there_columns is None
-                        else LaneBatch(tau, there_columns, full, shared=shared))
-                batch = LaneBatch(tau, columns, full, twin=twin, shared=shared)
-                yield Grid(batch, table, bounds.alphabet, prefix, suffix)
+    lam = None
+    for tau in space.time_grids():
+        if len(tau) != lam:  # the columns depend on the length only, not on tau
+            lam = suffix = len(tau)  # chunks of at most LANE_LIMIT lanes
+            while suffix and len(table) ** suffix > LANE_LIMIT:
+                suffix -= 1
+            chunks = [(prefix, grid_columns(here, prefix, suffix),
+                       None if total_only else grid_columns(there, prefix, suffix)[0])
+                      for prefix in product(range(len(table)), repeat=lam - suffix)]
+        for prefix, (columns, full), there_columns in chunks:
+            twin = (None if there_columns is None
+                    else LaneBatch(tau, there_columns, full, shared=shared))
+            batch = LaneBatch(tau, columns, full, twin=twin, shared=shared)
+            yield Grid(batch, table, space.alphabet, prefix, suffix)

@@ -363,6 +363,8 @@ def agreement_scan(formulas: Sequence[Formula], bounds: TraceBounds,
     - persistence: here-satisfaction implies there-satisfaction;
     - totality: on total traces the HT and classical verdicts coincide.
     """
+    if max_violations < 1:
+        raise ValueError("max_violations must be at least 1")
     pairs = [(f, compile_to_core(f), F.is_metric(f)) for f in formulas]
     out = ScanOutcome()
     for grid in grid_batches(bounds):

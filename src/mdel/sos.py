@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .formulas import (
     Always, Atom, Box, Eventually, Implies, Not, Seq, Star, Theory,
     formula_path,
 )
 from .intervals import Interval, UNTIMED
-from .traces import TimedHTTrace, enumerate_total_traces_with_tau
+from .traces import TimedHTTrace, TimeGrids
 
 ALPHABET = frozenset({"a", "s", "h"})
 
@@ -59,18 +59,16 @@ FAMILIES = ("accident-at-end", "no-transition", "unattended",
 CURATED_GRID = (0, 40, 45, 50, 51, 52)
 
 
-def iter_grid_traces(grid: Sequence[int] = CURATED_GRID) -> Iterator[TimedHTTrace]:
-    """All total traces whose time stamps are drawn from the curated grid.
+def curated_space(grid: Sequence[int] = CURATED_GRID) -> TimeGrids:
+    """The total traces whose time stamps are drawn from the curated grid.
 
-    The grid must start at 0; every subset containing 0 (including the empty
-    trace's) is used as a time function, shortest grids first.
+    The grid must start at 0; every subset containing 0 is used as a time
+    function, shortest grids first.
     """
     if not grid or grid[0] != 0:
         raise ValueError("the grid must start at 0")
-    rest = tuple(grid[1:])
-    for size in range(len(grid)):
-        for chosen in combinations(rest, size):
-            yield from enumerate_total_traces_with_tau(ALPHABET, (0,) + chosen)
+    return TimeGrids(ALPHABET, [(0,) + chosen for size in range(len(grid))
+                                for chosen in combinations(grid[1:], size)])
 
 
 def classify(model: TimedHTTrace, constants: SosConstants = RESCALED) -> Optional[str]:

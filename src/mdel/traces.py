@@ -2,23 +2,37 @@
 
 A timed HT-trace is a pair of equal-length state sequences (``here`` below
 ``there`` pointwise) with a strictly increasing time stamp function that
-starts at zero.  ``enumerate_traces`` generates every trace inside finite
-bounds exactly once, in a fixed order: length ascending, then lexicographic
-by the tuple of time gaps, then lexicographic by per-position state bitmasks
-(position 0 most significant; general HT states ordered by (there, here)
-mask pairs, atoms ordered alphabetically).
+starts at zero.  ``enumerate_traces`` generates every trace of a finite
+space exactly once, in a fixed order: by time grid, then lexicographic by
+per-position state bitmasks (position 0 most significant; general HT states
+ordered by (there, here) mask pairs, atoms ordered alphabetically).  A
+``TraceBounds`` space orders its time grids by length ascending, then
+lexicographically by the tuple of time gaps; a ``TimeGrids`` space lists
+them explicitly.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Sequence
+from itertools import accumulate, product
+from typing import Iterator, Sequence, Union
 
 
 class TraceError(ValueError):
     """Raised for documents or constructions violating trace invariants."""
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_tau(tau: tuple) -> None:
+    if tau and tau[0] != 0:
+        raise TraceError("tau(0) must be 0")
+    if not all(_is_int(b) and b > a for a, b in zip((-1,) + tau, tau)):
+        raise TraceError("tau must be strictly increasing integers")
 
 
 @dataclass(frozen=True)
@@ -41,12 +55,7 @@ class TimedHTTrace:
                 raise TraceError("here state must be a subset of the there state")
             if not t <= self.alphabet:
                 raise TraceError("state uses atoms outside the alphabet")
-        if lam > 0:
-            if self.tau[0] != 0:
-                raise TraceError("tau(0) must be 0")
-            for a, b in zip(self.tau, self.tau[1:]):
-                if not isinstance(b, int) or b <= a:
-                    raise TraceError("tau must be strictly increasing integers")
+        _check_tau(self.tau)
 
     @property
     def length(self) -> int:
@@ -78,11 +87,6 @@ def strictly_below(here: Sequence, there: Sequence) -> bool:
 
 
 # -- I/O -----------------------------------------------------------------------
-
-
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_trace(doc) -> TimedHTTrace:
@@ -165,6 +169,35 @@ class TraceBounds:
             f"gap<={self.max_gap} {kind}"
         )
 
+    def time_grids(self) -> Iterator[tuple]:
+        """Every time grid of the space: length ascending, then gaps lexicographic."""
+        yield ()
+        for lam in range(1, self.lambda_max + 1):
+            for gaps in product(range(1, self.max_gap + 1), repeat=lam - 1):
+                yield tuple(accumulate(gaps, initial=0))
+
+
+@dataclass(frozen=True)
+class TimeGrids:
+    """Finite search space of total traces over an explicit list of time
+    grids, in their order."""
+
+    alphabet: frozenset
+    taus: tuple
+    total_only = True  # a class constant, not a field
+
+    def __post_init__(self):
+        object.__setattr__(self, "alphabet", frozenset(self.alphabet))
+        object.__setattr__(self, "taus", tuple(map(tuple, self.taus)))
+        for tau in self.taus:
+            _check_tau(tau)
+
+    def time_grids(self) -> Iterator[tuple]:
+        return iter(self.taus)
+
+
+Space = Union[TraceBounds, TimeGrids]
+
 
 def _state_table(alphabet: frozenset, total_only: bool):
     atoms = sorted(alphabet)
@@ -178,33 +211,11 @@ def _state_table(alphabet: frozenset, total_only: bool):
             if h & t == h]
 
 
-def _gap_grids(lam: int, max_gap: int) -> Iterator[tuple]:
-    if lam == 0:
-        yield ()
-        return
-    for gaps in product(range(1, max_gap + 1), repeat=lam - 1):
-        tau = [0]
-        for g in gaps:
-            tau.append(tau[-1] + g)
-        yield tuple(tau)
-
-
-def enumerate_traces(bounds: TraceBounds) -> Iterator[TimedHTTrace]:
-    """Yield every trace within bounds exactly once, in the documented order."""
-    states = _state_table(bounds.alphabet, bounds.total_only)
-    for lam in range(bounds.lambda_max + 1):
-        for tau in _gap_grids(lam, bounds.max_gap):
-            for combo in product(states, repeat=lam):
-                here = tuple(h for h, _ in combo)
-                there = tuple(t for _, t in combo)
-                yield TimedHTTrace(bounds.alphabet, here, there, tau)
-
-
-def enumerate_total_traces_with_tau(alphabet, tau: Sequence[int]) -> Iterator[TimedHTTrace]:
-    """All total traces over a fixed time grid (used for spot-check runs)."""
-    alphabet = frozenset(alphabet)
-    states = _state_table(alphabet, total_only=True)
-    tau = tuple(tau)
-    for combo in product(states, repeat=len(tau)):
-        there = tuple(t for _, t in combo)
-        yield TimedHTTrace(alphabet, there, there, tau)
+def enumerate_traces(space: Space) -> Iterator[TimedHTTrace]:
+    """Yield every trace of a space exactly once, in the documented order."""
+    states = _state_table(space.alphabet, space.total_only)
+    for tau in space.time_grids():
+        for combo in product(states, repeat=len(tau)):
+            here = tuple(h for h, _ in combo)
+            there = tuple(t for _, t in combo)
+            yield TimedHTTrace(space.alphabet, here, there, tau)

@@ -11,9 +11,7 @@ import time
 
 import pytest
 
-from mdel.equilibrium import (
-    _compile_theory, _equilibrium_check, enumerate_equilibrium,
-)
+from mdel.equilibrium import enumerate_equilibrium
 from mdel.formulas import Atom, Not, Star, STEP, Test, compile_to_core, formula_path
 from mdel.laws import (
     agreement_scan, check_release_naive, check_release_table, em_collapse_scan,
@@ -23,7 +21,7 @@ from mdel.laws import (
 from mdel.parser import parse_formula, parse_theory
 from mdel.semantics import HERE, satisfies
 from mdel.sos import (
-    CURATED_GRID, ORIGINAL, RESCALED, classify, iter_grid_traces, sos_theory,
+    CURATED_GRID, ORIGINAL, RESCALED, classify, curated_space, sos_theory,
 )
 from mdel.traces import TraceBounds, make_trace
 
@@ -199,14 +197,11 @@ def test_criterion_7_sos_families():
     # 'unattended' needs an integer strictly between 4 and 5: not realizable
     # at the rescaled constants, so the realizable families are these four.
 
-    compiled = _compile_theory(sos_theory(ORIGINAL))
-    shared = {}
     grid_counts = {}
-    for t in iter_grid_traces(CURATED_GRID):
-        if _equilibrium_check(t, compiled, shared).status == "equilibrium":
-            fam = classify(t, ORIGINAL)
-            assert fam is not None, (t.tau, t.there)
-            grid_counts[fam] = grid_counts.get(fam, 0) + 1
+    for result in enumerate_equilibrium(sos_theory(ORIGINAL), curated_space(CURATED_GRID)):
+        fam = classify(result.model, ORIGINAL)
+        assert fam is not None, (result.model.tau, result.model.there)
+        grid_counts[fam] = grid_counts.get(fam, 0) + 1
     assert grid_counts.get("immediate-help", 0) >= 1  # the required spot check
     assert grid_counts == {"accident-at-end": 1, "no-transition": 3,
                            "unattended": 4, "immediate-help": 8, "late-help": 8}

@@ -10,9 +10,9 @@ from mdel.equilibrium import (
 from mdel.formulas import Theory, compile_to_core
 from mdel.laws import random_theory
 from mdel.parser import parse_theory
-from mdel.sos import RESCALED, sos_theory
+from mdel.sos import RESCALED, curated_space, sos_theory
 from mdel.traces import (
-    TimedHTTrace, TraceBounds, enumerate_traces, load_trace, make_trace,
+    TimeGrids, TimedHTTrace, TraceBounds, enumerate_traces, load_trace, make_trace,
 )
 
 from naive_ref import naive_equilibrium_models, naive_is_model
@@ -223,3 +223,29 @@ def test_lane_chunks_keep_the_enumeration(monkeypatch):
     assert [(r.model, r.witnesses_checked)
             for r in enumerate_equilibrium(theory, bounds)] == whole
     assert list(iter_models(EV_A, TraceBounds(A1, 3, 2))) == whole_models
+
+
+UNEVEN_TAUS = [(), (0,), (0, 3), (0, 1, 4), (0, 2, 3)]
+
+
+@pytest.mark.parametrize("limit", [lanes.LANE_LIMIT, 8])
+@pytest.mark.parametrize("theory", [DIFFERENTIAL_THEORIES[i] for i in (0, 3, 5, 6, 21, 26)],
+                         ids=range(6))
+def test_explicit_grids_match_per_trace_reference(theory, limit, monkeypatch):
+    monkeypatch.setattr(lanes, "LANE_LIMIT", limit)
+    compiled = [compile_to_core(f) for f in theory.formulas]
+    space = TimeGrids(theory.alphabet, UNEVEN_TAUS)
+    want = []
+    for t in enumerate_traces(space):
+        status, _, witnesses = _reference_check(t, compiled)
+        if status == "equilibrium":
+            want.append((t, t.length, witnesses))
+    got = [(r.model, r.lam, r.witnesses_checked)
+           for r in enumerate_equilibrium(theory, space)]
+    assert got == want
+
+
+def test_curated_space_must_start_at_zero():
+    for grid in ((), (5, 40)):
+        with pytest.raises(ValueError):
+            curated_space(grid)

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from mdel.formulas import Atom, Not, Star, STEP, Test, formula_path
 from mdel.laws import (
     LawReport, SUITES, agreement_scan, bkt_fragment_formulas,
@@ -7,6 +9,7 @@ from mdel.laws import (
     invert_past_scan, random_formula, random_theory,
     relation_scan, run_suite, star_properties, tau_independence_scan,
 )
+from mdel.parser import parse_formula
 from mdel.traces import TraceBounds
 
 AB = frozenset({"a", "b"})
@@ -27,6 +30,13 @@ def test_agreement_scan_clean_on_sampled_formulas():
     out = agreement_scan(formulas, SMALL)
     assert out.clean
     assert out.checks > 0
+
+
+def test_agreement_scan_refuses_a_limit_below_one():
+    # a limit below 1 would stop after the first lane with a clean outcome
+    for limit in (0, -1):
+        with pytest.raises(ValueError):
+            agreement_scan([parse_formula("ev[0..2] a")], SMALL, max_violations=limit)
 
 
 def test_relation_scan_clean():

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdel.traces import (
-    TimedHTTrace, TraceBounds, TraceError, dump_trace, enumerate_traces,
-    enumerate_total_traces_with_tau, load_trace, make_trace, strictly_below,
-    total_of, trace_to_dict,
+    TimeGrids, TimedHTTrace, TraceBounds, TraceError, dump_trace, enumerate_traces,
+    load_trace, make_trace, strictly_below, total_of, trace_to_dict,
 )
 
 DOC_43 = {"alphabet": ["a", "s", "h"], "lambda": 3, "tau": [0, 1, 4],
@@ -168,9 +167,31 @@ def test_enumeration_is_deterministic():
 
 
 def test_fixed_tau_enumeration():
-    got = list(enumerate_total_traces_with_tau({"a"}, (0, 5)))
+    got = list(enumerate_traces(TimeGrids({"a"}, [(0, 5)])))
     assert len(got) == 4
     assert all(m.tau == (0, 5) for m in got)
+
+
+def test_explicit_grids_keep_their_order():
+    taus = [(0, 3), (), (0,), (0, 1, 4)]
+    got = list(enumerate_traces(TimeGrids({"a"}, taus)))
+    assert [m.tau for m in got] == [(0, 3)] * 4 + [()] + [(0,)] * 2 + [(0, 1, 4)] * 8
+    assert all(m.is_total for m in got)
+    assert got[:4] == [m for m in enumerate_traces(TraceBounds({"a"}, 2, 3, True))
+                       if m.tau == (0, 3)]
+
+
+@pytest.mark.parametrize("tau", [(0, 45, 40), (5, 6), (0, True), (0, 1.5), (0, 0)])
+def test_explicit_grids_refuse_what_a_trace_refuses(tau):
+    with pytest.raises(TraceError):
+        TimeGrids({"a"}, [(0, 1), tau])
+    with pytest.raises(TraceError):
+        make_trace({"a"}, [set()] * len(tau), tau)
+
+
+def test_bounds_time_grids_order():
+    assert list(TraceBounds({"a"}, 3, 2).time_grids()) == [
+        (), (0,), (0, 1), (0, 2), (0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 2, 4)]
 
 
 @given(st.integers(0, 2), st.integers(1, 2))
