@@ -350,7 +350,11 @@ def expand_trigger(f: Trigger) -> Formula:
 
 
 # Structurally equal inputs share one compiled object, so identity-keyed
-# evaluation caches hit across formulas with common subterms.
+# evaluation caches hit across formulas with common subterms.  A memo is
+# emptied when it holds MEMO_CAP entries, which bounds it in a long-lived
+# process; the largest scan in the tests and benchmarks (criterion 3's
+# operator space) leaves about 23,000.
+MEMO_CAP = 1 << 16
 _CORE_MEMO: dict = {}
 _PATH_MEMO: dict = {}
 
@@ -359,6 +363,8 @@ def compile_path(rho: PathExpr) -> PathExpr:
     out = _PATH_MEMO.get(rho)
     if out is None:
         out = _compile_path(rho)
+        if len(_PATH_MEMO) >= MEMO_CAP:
+            _PATH_MEMO.clear()
         _PATH_MEMO[rho] = out
     return out
 
@@ -385,6 +391,8 @@ def compile_to_core(f: Formula) -> Formula:
     out = _CORE_MEMO.get(f)
     if out is None:
         out = _compile_formula(f)
+        if len(_CORE_MEMO) >= MEMO_CAP:
+            _CORE_MEMO.clear()
         _CORE_MEMO[f] = out
     return out
 

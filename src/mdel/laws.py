@@ -13,17 +13,19 @@ atom columns; comparing whole batch values gives, per check, the mask of
 the lanes that may fail it.  Each scan lists a grid's checks in per-lane
 order and hands them to one walker (:func:`_walk`), which reads only those
 lanes, in enumeration order, counts the lanes between them in bulk, and
-stops where the scan says.  The classical reference is a check on the total
-lanes (``Grid.total``) that reads one lane's evaluator at a time.  A lane's
-trace is built only for that reference or a counterexample.  Counts and
-first counterexamples are therefore those of a trace-by-trace loop.
+stops where the scan says.  The classical reference
+(:class:`mdel.semantics.ClassicalEvaluator`) is evaluated once per grid on
+its there-world columns, and compared with the HT value on the total lanes
+(``Grid.total``) only.  A lane's trace is built only for a counterexample.
+Counts and first counterexamples are therefore those of a trace-by-trace
+loop.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import formulas as F
@@ -39,7 +41,7 @@ from .lanes import (
     Grid, LaneBatch, grid_batches, iter_lanes, lane_mask, lane_rows, lanes_of, low_bit,
 )
 from .mht import MhtEvaluator
-from .semantics import Evaluator, HERE, THERE
+from .semantics import ClassicalEvaluator, Evaluator, HERE, THERE
 from .traces import TimedHTTrace, TraceBounds, trace_to_dict
 
 
@@ -329,18 +331,11 @@ def _count(out: ScanOutcome, per_lane: dict, start: int, stop: int) -> None:
     out.checks += sum(n * (scope & span).bit_count() for scope, n in per_lane.items())
 
 
-def _classical(grid: Grid) -> Callable[[int], Evaluator]:
-    """The classical evaluator of a grid's lane, kept for one lane at a time."""
-    return lru_cache(maxsize=1)(lambda lane: Evaluator(grid.trace(lane)))
-
-
-def _sat_differs(classical, core: Formula, here: List[int], lane: int) -> int:
-    """Positions where the classical and the HT value of a total lane differ."""
-    return classical(lane).mdl_sat_mask(core) ^ lane_mask(here, lane)
-
-
-def _rel_differs(classical, rho: PathExpr, here: List[dict], lane: int) -> int:
-    return int(classical(lane).mdl_rel_rows(rho) != lane_rows(here, lane))
+def _classical_reference(batch: LaneBatch) -> ClassicalEvaluator:
+    """The classical evaluator on a batch's time grid and there-world columns;
+    on a total lane, these are the lane's own states."""
+    twin = batch.twin
+    return ClassicalEvaluator(twin.tau, twin.columns, twin.full)
 
 
 def _direct_oracle(batch: LaneBatch) -> MhtEvaluator:
@@ -373,15 +368,16 @@ def agreement_scan(formulas: Sequence[Formula], bounds: TraceBounds,
         checks = []
         if lam:
             oracle = _direct_oracle(batch) if check_agreement else None
-            classical = _classical(grid)  # the reference on total traces
+            classical, total = _classical_reference(batch), grid.total
             for surface, core, metric in pairs:
                 here, there = batch.sat(core), batch.twin.sat(core)
                 fields = {"formula": surface}
                 checks += [
                     _value_check(out.persistence_violations, lam,
                                  [h & ~t for h, t in zip(here, there)], fields),
-                    _Check(out.totality_violations, 0, grid.total, fields,
-                           partial(_sat_differs, classical, core, here))]
+                    _value_check(out.totality_violations, 0,
+                                 [(c ^ h) & total for c, h in zip(classical.value(core), here)],
+                                 fields)]
                 if check_agreement and metric:
                     checks.append(_value_check(out.agreement_violations, 0, [
                         (o ^ h) | (ot ^ t) for o, ot, h, t in zip(
@@ -399,15 +395,17 @@ def relation_scan(paths: Sequence[PathExpr], bounds: TraceBounds) -> ScanOutcome
     paths = [F.compile_path(rho) for rho in paths]
     for grid in grid_batches(bounds):
         batch = grid.batch
-        classical = _classical(grid)
+        classical = _classical_reference(batch)
         checks = []
         for rho in paths:
             here, there = batch.rel(rho), batch.twin.rel(rho)
             beyond = lanes_of(x & ~t.get(i, 0) for h, t in zip(here, there) for i, x in h.items())
+            # on the total lanes, the classical relation must equal the HT one
+            differ = lanes_of(x ^ h.get(i, 0) for h, row in zip(here, classical.value(rho))
+                              for i, x in enumerate(row))
             fields = {"path": rho}
             checks += [_Check(out.persistence_violations, 1, beyond, fields),
-                       _Check(out.totality_violations, 0, grid.total, fields,
-                              partial(_rel_differs, classical, rho, here))]
+                       _Check(out.totality_violations, 0, differ & grid.total, fields)]
         if _walk(out, grid, checks, 1):
             break
     return out

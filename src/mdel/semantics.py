@@ -1,5 +1,5 @@
 """Satisfaction on timed HT-traces: the one-trace view of the lane engine,
-the classical evaluator on total traces, and bounded tautology search.
+the classical evaluator of total traces, and bounded tautology search.
 
 Satisfaction is computed as *sets*: for each (sub)formula and world, the
 bitmask of trace positions where the formula holds; a relation is a tuple of
@@ -10,15 +10,19 @@ The HT semantics has one implementation, :class:`mdel.lanes.LaneBatch`.
 there-world twin is the batch of the collapsed total trace.  Bounded scans
 (``is_tautology_bounded`` here, the law suites in :mod:`mdel.laws`) evaluate
 whole grids of traces at once instead.  The classical single-world
-evaluator (``mdl_sat_mask``/``mdl_rel_rows``) is a separate recursion that
-shares no evaluation code with the lane engine (only the bit iterator
-``iter_lanes``), so the totality law compares two independent computations.
+semantics has its own grid evaluator, :class:`ClassicalEvaluator`, built
+from a grid's time stamps and atom columns only: dense relations, Box as
+the dual of Diamond, star as a squaring fixpoint, and its own windows and
+memo.  It shares no evaluation code with the lane engine, so the totality
+law compares two independent computations; ``Evaluator.mdl_sat_mask`` /
+``mdl_rel_rows`` and :func:`satisfies_mdl` are its one-lane views.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .formulas import (
@@ -59,7 +63,9 @@ class Evaluator:
 
     ``sat_mask`` and ``rel_rows`` read a one-lane :class:`LaneBatch` built on
     first use; the there world is the twin view of the collapsed total trace,
-    and the two views share their lane-independent tables.
+    and the two views share their lane-independent tables.  ``mdl_sat_mask``
+    and ``mdl_rel_rows`` read a one-lane :class:`ClassicalEvaluator` of the
+    here states, which on a total trace are its only states.
     """
 
     def __init__(self, trace: TimedHTTrace):
@@ -68,9 +74,6 @@ class Evaluator:
         self.full = (1 << self.lam) - 1
         self.twin = self if trace.is_total else Evaluator(total_of(trace))
         self._batch: Optional[LaneBatch] = None
-        self._mdl_sat = {}
-        self._mdl_rel = {}
-        self._pin = []
 
     def _lanes(self) -> LaneBatch:
         if self._batch is None:
@@ -90,105 +93,117 @@ class Evaluator:
             return self.twin.sat_mask(f, HERE)
         return lane_mask(self._lanes().sat(f), 0)
 
-    # -- classical (single-world) satisfaction on total traces --------------------
-    #
-    # A recursion of its own, independent of the lane engine.
+    @cached_property
+    def _classical(self) -> "ClassicalEvaluator":
+        return ClassicalEvaluator(self.trace.tau, trace_columns(self.trace.here), 1)
 
     def mdl_sat_mask(self, f: Formula) -> int:
-        key = id(f)
-        m = self._mdl_sat.get(key)
-        if m is None:
-            m = self._mdl_compute(f)
-            self._mdl_sat[key] = m
-            self._pin.append(f)
-        return m
-
-    def _mdl_compute(self, f: Formula) -> int:
-        t = type(f)
-        if t is Atom:
-            m = 0
-            for i, state in enumerate(self.trace.here):
-                if f.name in state:
-                    m |= 1 << i
-            return m
-        if t is Bot:
-            return 0
-        rows = self.mdl_rel_rows(f.path)
-        times = _time_rows(self.trace.tau, f.interval)
-        body = self.mdl_sat_mask(f.body)
-        m = 0
-        if t is Diamond:
-            for k in range(self.lam):
-                if rows[k] & times[k] & body:
-                    m |= 1 << k
-            return m
-        if t is Box:
-            # the classical dual: no reachable in-window position refutes body
-            for k in range(self.lam):
-                if rows[k] & times[k] & ~body == 0:
-                    m |= 1 << k
-            return m
-        raise TypeError(f"core formula expected, found {type(f).__name__}")
+        return lane_mask(self._classical.value(f), 0)
 
     def mdl_rel_rows(self, rho: PathExpr) -> Tuple[int, ...]:
-        key = id(rho)
-        rows = self._mdl_rel.get(key)
-        if rows is None:
-            t = type(rho)
-            if t is Step:
-                rows = tuple(1 << (k + 1) if k + 1 < self.lam else 0 for k in range(self.lam))
-            elif t is Test:
-                m = self.mdl_sat_mask(rho.body)
-                rows = tuple((m >> k & 1) << k for k in range(self.lam))
-            elif t is Choice:
-                a, b = self.mdl_rel_rows(rho.left), self.mdl_rel_rows(rho.right)
-                rows = tuple(x | y for x, y in zip(a, b))
-            elif t is Seq:
-                a, b = self.mdl_rel_rows(rho.left), self.mdl_rel_rows(rho.right)
-                rows = tuple(_image(b, row) for row in a)
-            elif t is Star:
-                rows = _closure(self.mdl_rel_rows(rho.body))
-            elif t is Converse:
-                a = self.mdl_rel_rows(rho.body)
-                out = [0] * self.lam
-                for k, row in enumerate(a):
-                    for i in iter_lanes(row):
-                        out[i] |= 1 << k
-                rows = tuple(out)
-            else:
-                raise TypeError(f"not a path expression: {rho!r}")
-            self._mdl_rel[key] = rows
-            self._pin.append(rho)
-        return rows
+        return tuple(lane_mask(row, 0) for row in self._classical.value(rho))
 
 
-def _time_rows(tau: tuple, iv: Interval) -> Tuple[int, ...]:
-    """rows[k] = positions i with tau(i) - tau(k) in the interval."""
-    return tuple(sum(1 << i for i, ti in enumerate(tau) if iv.lo < ti - tk < iv.hi)
-                 for tk in tau)
+class ClassicalEvaluator:
+    """Classical (single-world) satisfaction for the lanes of one time grid.
+
+    Its inputs are a grid's time stamps ``tau``, its atom columns
+    (``columns[a][k]`` is the lane mask of the lanes with atom ``a`` at
+    position ``k``) and ``full``, the mask of all lanes.  A formula's value
+    is a list of ``lambda`` lane masks; a path's value is a dense
+    ``lambda x lambda`` list of lane masks (``rel[k][i]``: the lanes where
+    ``i`` is reachable from ``k``).  Box is the complement of Diamond of the
+    complement, and star is grown as the fixpoint of ``R | R;R``.  The time
+    windows and the memo are its own: it shares no evaluation code with the
+    lane engine.
+    """
+
+    def __init__(self, tau: tuple, columns: dict, full: int):
+        self.tau = tau
+        self.lam = len(tau)
+        self.columns = columns
+        self.full = full
+        # keyed by node identity, with the nodes pinned (see MhtEvaluator)
+        self._memo: dict = {}
+        self._pin: list = []
+        self._windows: dict = {}
+
+    def value(self, node) -> list:
+        """The value of a core formula or the relation of a core path."""
+        v = self._memo.get(id(node))
+        if v is None:
+            v = self._memo[id(node)] = self._compute(node)
+            self._pin.append(node)
+        return v
+
+    def _compute(self, node) -> list:
+        t, lam, full, value = type(node), self.lam, self.full, self.value
+        if t is Atom:
+            return self.columns.get(node.name) or [0] * lam
+        if t is Bot:
+            return [0] * lam
+        if t is Diamond:
+            return self._diamond(node, value(node.body))
+        if t is Box:
+            return self._complement(self._diamond(node, self._complement(value(node.body))))
+        if t is Step:
+            return [[full if i == k + 1 else 0 for i in range(lam)] for k in range(lam)]
+        if t is Test:
+            body = value(node.body)
+            return [[body[k] if i == k else 0 for i in range(lam)] for k in range(lam)]
+        if t is Choice:
+            return [[x | y for x, y in zip(a, b)]
+                    for a, b in zip(value(node.left), value(node.right))]
+        if t is Seq:
+            return _compose(value(node.left), value(node.right))
+        if t is Star:
+            # from the reflexive relation, add R;R until nothing changes
+            rel = [[x | full if i == k else x for i, x in enumerate(row)]
+                   for k, row in enumerate(value(node.body))]
+            while True:
+                grown = [[x | y for x, y in zip(a, b)] for a, b in zip(rel, _compose(rel, rel))]
+                if grown == rel:
+                    return rel
+                rel = grown
+        if t is Converse:
+            return [list(column) for column in zip(*value(node.body))]
+        raise TypeError(f"core formula or path expected, found {t.__name__}")
+
+    def _complement(self, value: list) -> list:
+        return [self.full & ~x for x in value]
+
+    def _diamond(self, f, body: list) -> list:
+        """The lanes with a reachable position in the window where body holds."""
+        out = []
+        for row, window in zip(self.value(f.path), self._window(f.interval)):
+            acc = 0
+            for i in window:
+                acc |= row[i] & body[i]
+            out.append(acc)
+        return out
+
+    def _window(self, iv: Interval) -> list:
+        """``window[k]``: the positions i with tau(i) - tau(k) in the interval."""
+        key = (iv.lo, iv.hi)
+        window = self._windows.get(key)
+        if window is None:
+            tau = self.tau
+            window = self._windows[key] = [[i for i, ti in enumerate(tau) if ti - tk in iv]
+                                           for tk in tau]
+        return window
 
 
-def _image(rows: Tuple[int, ...], sources: int) -> int:
-    out = 0
-    for j in iter_lanes(sources):
-        out |= rows[j]
+def _compose(a: list, b: list) -> list:
+    """The relation a;b of two dense relations."""
+    out = []
+    for row in a:
+        acc = [0] * len(b)
+        for j, x in enumerate(row):
+            if x:
+                for i, y in enumerate(b[j]):
+                    acc[i] |= x & y
+        out.append(acc)
     return out
-
-
-def _closure(rows: Tuple[int, ...]) -> Tuple[int, ...]:
-    # reflexive-transitive closure; equals the union of all finite powers
-    out = [row | (1 << k) for k, row in enumerate(rows)]
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(out)):
-            acc = out[k]
-            for j in iter_lanes(acc):
-                acc |= out[j]
-            if acc != out[k]:
-                out[k] = acc
-                changed = True
-    return tuple(out)
 
 
 # -- public operations -----------------------------------------------------------

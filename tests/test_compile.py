@@ -2,6 +2,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from mdel import formulas
 from mdel.formulas import (
     Always, AlwPast, And, Atom, BOT, Box, Choice, Converse, Diamond, EvPast,
     Eventually, Implies, Not, Or, Release, Since, Star, STEP, Seq, Test,
@@ -100,6 +101,21 @@ def test_compile_output_is_core_and_stable(seed, depth):
     assert is_core(core)
     assert compile_to_core(f) is core  # memoized, hence pure
     assert compile_to_core(core) == core
+
+
+def test_compile_memos_stay_within_their_cap(monkeypatch):
+    # a memo at its cap is emptied before its next entry; equal inputs still
+    # share one compiled object while it is live, and results do not change
+    monkeypatch.setattr(formulas, "MEMO_CAP", 64)
+    rng = random.Random(11)
+    compiled = []
+    for _ in range(200):
+        f = random_formula(rng, ["a", "b"], 4)
+        core = compile_to_core(f)
+        assert len(formulas._CORE_MEMO) <= 64 and len(formulas._PATH_MEMO) <= 64
+        assert compile_to_core(f) is core
+        compiled.append((f, core))
+    assert all(compile_to_core(f) == core for f, core in compiled)
 
 
 @settings(max_examples=200, deadline=None)

@@ -37,7 +37,7 @@ from mdel.laws import (
     random_formula, random_theory, relation_scan, release_table_rows, run_suite,
 )
 from mdel.mht import MhtEvaluator
-from mdel.semantics import Evaluator, iff, is_tautology_bounded
+from mdel.semantics import ClassicalEvaluator, iff, is_tautology_bounded
 from mdel.traces import TraceBounds, trace_to_dict
 
 PATH = os.path.join(os.path.dirname(__file__), "golden_scans.json")
@@ -75,20 +75,18 @@ def _fault_classical(monkeypatch):
     """Box is wrong at position 0 on traces with a at position 1, and every
     star relation gains the edge from the last position back to 0 on traces
     with b at position 0."""
-    sat_mask, rel_rows = Evaluator.mdl_sat_mask, Evaluator.mdl_rel_rows
+    correct = ClassicalEvaluator._compute
 
-    def faulty_sat(self, f):
-        m = sat_mask(self, f)
-        return m ^ 1 if type(f) is Box and self.lam >= 2 and "a" in self.trace.there[1] else m
+    def faulty(self, node):
+        value = list(correct(self, node))
+        if type(node) is Box and self.lam >= 2:
+            value[0] ^= _column(self.columns, "a", 1)
+        if type(node) is Star and self.lam >= 2:
+            value[-1] = [x | _column(self.columns, "b", 0) if i == 0 else x
+                         for i, x in enumerate(value[-1])]
+        return value
 
-    def faulty_rel(self, rho):
-        rows = rel_rows(self, rho)
-        if type(rho) is Star and self.lam >= 2 and "b" in self.trace.there[0]:
-            rows = rows[:-1] + (rows[-1] | 1,)
-        return rows
-
-    monkeypatch.setattr(Evaluator, "mdl_sat_mask", faulty_sat)
-    monkeypatch.setattr(Evaluator, "mdl_rel_rows", faulty_rel)
+    monkeypatch.setattr(ClassicalEvaluator, "_compute", faulty)
 
 
 def _fault_oracle(monkeypatch):

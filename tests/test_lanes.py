@@ -1,5 +1,5 @@
 from mdel.formulas import (
-    Atom, Choice, Converse, Diamond, Not, STEP, Seq, Star, Test, compile_to_core,
+    Atom, Choice, Converse, Diamond, Formula, Not, STEP, Seq, Star, Test, compile_to_core,
     formula_path,
 )
 from mdel.intervals import UNTIMED
@@ -34,16 +34,19 @@ def test_scan_violations_come_in_enumeration_order(monkeypatch):
     # same number of traces, as a loop over enumerate_traces
     from mdel.laws import agreement_scan
     from mdel.parser import parse_formula
-    from mdel.semantics import Evaluator
+    from mdel.semantics import ClassicalEvaluator, Evaluator
     from mdel.traces import TraceBounds, enumerate_traces, trace_to_dict
 
-    correct = Evaluator.mdl_sat_mask
+    correct = ClassicalEvaluator._compute
 
-    def faulty(self, f):
-        m = correct(self, f)
-        return m ^ 1 if self.lam >= 2 and "a" in self.trace.there[1] else m
+    def faulty(self, node):
+        # every formula is wrong at position 0 on the lanes with a at position 1
+        value = correct(self, node)
+        if isinstance(node, Formula) and self.lam >= 2:
+            value = [value[0] ^ (self.columns.get("a") or [0] * self.lam)[1], *value[1:]]
+        return value
 
-    monkeypatch.setattr(Evaluator, "mdl_sat_mask", faulty)
+    monkeypatch.setattr(ClassicalEvaluator, "_compute", faulty)
     bounds = TraceBounds(frozenset("ab"), 2, 2)
     f = parse_formula("ev[0..2] (a & b)")
     core = compile_to_core(f)

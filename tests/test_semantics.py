@@ -3,21 +3,23 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdel import lanes
 from mdel.formulas import (
     Atom, BOT, Converse, Diamond, Eventually, Or, Star, STEP,
-    compile_to_core,
+    compile_path, compile_to_core,
 )
 from mdel.intervals import Interval, UNTIMED
-from mdel.laws import random_formula
+from mdel.lanes import grid_batches
+from mdel.laws import random_formula, random_path
 from mdel.mht import mht_satisfies
 from mdel.parser import parse_formula
 from mdel.semantics import (
-    HERE, THERE, accessibility, equiv_bounded, is_tautology_bounded,
+    HERE, THERE, ClassicalEvaluator, accessibility, equiv_bounded, is_tautology_bounded,
     satisfies, satisfies_mdl,
 )
-from mdel.traces import TraceBounds, enumerate_traces, make_trace, total_of
+from mdel.traces import TimeGrids, TraceBounds, enumerate_traces, make_trace, total_of
 
-from naive_ref import naive_satisfies
+from naive_ref import naive_relation, naive_satisfies
 
 AB = frozenset({"a", "b"})
 TRACE_43 = make_trace(AB, [{"a"}, set(), set()], [0, 1, 4])
@@ -126,6 +128,58 @@ def test_naive_release_equivalence_fails_on_counterexample_family():
         satisfies(trace, k, f, THERE) != satisfies(trace, k, g, THERE)
     # the displayed length-3 instance is itself a counterexample
     assert satisfies(TRACE_43, 0, f) and not satisfies(TRACE_43, 0, g)
+
+
+# -- the classical grid evaluator against the naive reference ----------------------
+
+
+def _classical_reference_cases():
+    # random core formulas and paths: tests, choice, sequence, star and
+    # converse, with future, past and negative intervals
+    rng = random.Random(8)
+    formulas = [compile_to_core(random_formula(rng, ["a", "b"], rng.randint(1, 3)))
+                for _ in range(40)]
+    paths = [compile_path(random_path(rng, ["a", "b"], rng.randint(1, 3))) for _ in range(24)]
+    return formulas, paths
+
+
+def _classical_by_lane(ev, nodes, lane, lam):
+    """One lane's positions per formula and position pairs per path."""
+    formulas, paths = nodes
+    return ([[ev.value(f)[k] >> lane & 1 for k in range(lam)] for f in formulas],
+            [{(k, i) for k in range(lam) for i in range(lam) if ev.value(rho)[k][i] >> lane & 1}
+             for rho in paths])
+
+
+def _naive_classical(m, nodes):
+    formulas, paths = nodes
+    return ([[int(naive_satisfies(m, k, f)) for k in range(m.length)] for f in formulas],
+            [naive_relation(rho, m) for rho in paths])
+
+
+@pytest.mark.parametrize("space", [
+    TimeGrids(AB, [(), (0,), (0, 3), (0, 1, 4), (0, 2, 3)]),  # uneven, total
+    TraceBounds(AB, 2, 2),  # HT: the total lanes are a part of each grid
+], ids=["uneven-total", "ht"])
+def test_classical_grid_evaluator_matches_naive_reference(space, monkeypatch):
+    # every lane, at every position, against the naive classical clauses;
+    # the evaluator reads the there-world columns, which on a total lane are
+    # the lane's own states (on the others, those of its collapsed trace)
+    nodes = _classical_reference_cases()
+    want: dict = {}
+    for limit in (1024, 8):
+        monkeypatch.setattr(lanes, "LANE_LIMIT", limit)
+        lanes_seen = 0
+        for grid in grid_batches(space):
+            twin = grid.batch.twin
+            ev = ClassicalEvaluator(twin.tau, twin.columns, twin.full)
+            for lane in range(grid.size):
+                m = total_of(grid.trace(lane))
+                if (m.tau, m.there) not in want:
+                    want[m.tau, m.there] = _naive_classical(m, nodes)
+                assert _classical_by_lane(ev, nodes, lane, m.length) == want[m.tau, m.there]
+            lanes_seen += grid.size
+        assert lanes_seen == sum(1 for _ in enumerate_traces(space))
 
 
 @st.composite
