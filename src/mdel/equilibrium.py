@@ -13,17 +13,19 @@ All checks run on lane batches (:mod:`mdel.lanes`): the enumerator
 evaluates every total trace of one (lambda, tau) in one pass, and the
 minimality search runs in rounds, round r evaluating the r-th candidate of
 every model still open in one here batch whose there twin is that pass.
+Models with the same number of occurrences share their candidates' index
+tuples, so a round costs Python work per such group, not per model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .formulas import Theory, compile_to_core
 from .lanes import LaneBatch, grid_batches, iter_lanes, trace_columns
-from .traces import Space, TimedHTTrace, _state_table, trace_to_dict
+from .traces import Space, TimedHTTrace, trace_to_dict
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,10 @@ def result_to_dict(r: EquilibriumResult) -> dict:
     return doc
 
 
-def _compile_theory(theory: Theory):
+def _compile_theory(theory: Theory, alphabet: frozenset):
+    """The theory's core formulas, refusing atoms outside a trace's or space's alphabet."""
+    if not theory.alphabet <= alphabet:
+        raise ValueError("theory alphabet must be contained in the search alphabet")
     return tuple(compile_to_core(f) for f in theory.formulas)
 
 
@@ -57,55 +62,66 @@ def is_model(m: TimedHTTrace, theory: Theory) -> bool:
     """
     twin = None if m.is_total else LaneBatch(m.tau, trace_columns(m.there), 1)
     batch = LaneBatch(m.tau, trace_columns(m.here), 1, twin=twin)
-    return bool(batch.models(_compile_theory(theory)))
+    return bool(batch.models(_compile_theory(theory, m.alphabet)))
 
 
 def _here_candidates(occurrences):
     """All proper sub-here parts of a total trace, in the documented order.
 
     ``occurrences`` lists the trace's atom occurrences ``(position, atom)``
-    position-major with atoms sorted; each candidate is the tuple of the
-    occurrences it removes.
+    position-major with atoms sorted, or their indices; each candidate is
+    the tuple of the occurrences it removes.
     """
     for removed in range(1, len(occurrences) + 1):
         yield from combinations(occurrences, removed)
 
 
-def _minimality(total: LaneBatch, compiled, models: int,
-                occurrences: Callable[[int], list]) -> dict:
+def _minimality(total: LaneBatch, compiled, models: int) -> list:
     """The minimality search for every model lane of a total batch.
 
-    Round r evaluates, in one here batch over the same lanes with ``total``
-    as its twin, the r-th candidate of every model still open.  A lane that
-    is a model blocks its trace; a model whose candidates run out is an
-    equilibrium.  Returns ``{lane: (witnesses_checked, removed)}``, where
-    ``removed`` gives the first blocker's removed occurrences, or None.
+    The r-th candidate is the same tuple of occurrence indices for every
+    lane with the same number n of occurrences.  So a prefix count over the
+    columns gives, per (i, a), ``ranks[i, a][j]``: the lanes where (i, a) is
+    occurrence j; the final counters group the lanes by n.  Round r draws
+    one candidate per open group and evaluates all of them in one here batch
+    over the same lanes, with ``total`` as its twin; the lanes that are
+    models there are blocked, and a group whose candidates run out is
+    equilibria.  Returns ``(lanes, witnesses_checked, removed)`` triples,
+    ``removed`` being the first blocker's occurrence indices or None.
     """
-    verdicts = {}
-    pending = {lane: _here_candidates(occurrences(lane)) for lane in iter_lanes(models)}
-    witnesses = 0
-    while pending:
+    counts, ranks = [models], {}  # counts[j]: lanes with j occurrences so far
+    for i in range(total.lam):
+        for a in sorted(total.columns):
+            col = total.columns[a][i] & models
+            if col:
+                ranks[i, a] = rank = [c & col for c in counts]
+                counts = [(c & ~col) | r for c, r in zip(counts + [0], [0] + rank)]
+    groups = {n: g for n, g in enumerate(counts) if g}  # n -> lanes still open
+    candidates = {n: _here_candidates(range(n)) for n in groups}
+    verdicts, witnesses = [], 0
+    while groups:
         witnesses += 1
-        cleared, combos, active = {}, {}, 0  # cleared: occurrence -> lanes
-        for lane, candidates in list(pending.items()):
-            combo = next(candidates, None)
-            if combo is None:
-                del pending[lane]
-                verdicts[lane] = (witnesses - 1, None)
+        chosen, active, combos = [0] * len(counts), 0, {}  # chosen[j]: lanes removing j
+        for n, live in list(groups.items()):
+            combos[n] = combo = next(candidates[n], None)
+            if combo is None:  # 2^n - 1 candidates, none a model
+                verdicts.append((groups.pop(n), witnesses - 1, None))
                 continue
-            bit = 1 << lane
-            active |= bit
-            combos[lane] = combo
-            for occ in combo:
-                cleared[occ] = cleared.get(occ, 0) | bit
+            active |= live
+            for j in combo:
+                chosen[j] |= live
         if not active:
             break
-        columns = {a: [x & ~cleared.get((i, a), 0) for i, x in enumerate(col)]
+        # the ranks of one (i, a) are disjoint, so their sum is their union
+        columns = {a: [x & ~sum(r & c for r, c in zip(ranks.get((i, a), ()), chosen))
+                       for i, x in enumerate(col)]
                    for a, col in total.columns.items()}
         here = LaneBatch(total.tau, columns, total.full, twin=total, shared=total.shared)
-        for lane in iter_lanes(here.models(compiled, active)):
-            del pending[lane]
-            verdicts[lane] = (witnesses, combos[lane])
+        blocked = here.models(compiled, active)
+        for n, live in groups.items():
+            if live & blocked:
+                verdicts.append((live & blocked, witnesses, combos[n]))
+        groups = {n: live & ~blocked for n, live in groups.items() if live & ~blocked}
     return verdicts
 
 
@@ -113,14 +129,15 @@ def is_equilibrium(t: TimedHTTrace, theory: Theory) -> EquilibriumVerdict:
     """Check a total trace: model first, then exhaustive search for a blocker."""
     if not t.is_total:
         raise ValueError("equilibrium checking is defined on total traces only")
-    compiled = _compile_theory(theory)
+    compiled = _compile_theory(theory, t.alphabet)
     total = LaneBatch(t.tau, trace_columns(t.there), 1)
     if not total.models(compiled):
         return EquilibriumVerdict("not-model", None, 0)
-    occurrences = [(i, a) for i, state in enumerate(t.there) for a in sorted(state)]
-    witnesses, removed = _minimality(total, compiled, 1, lambda lane: occurrences)[0]
+    [(_, witnesses, removed)] = _minimality(total, compiled, 1)
     if removed is None:
         return EquilibriumVerdict("equilibrium", None, witnesses)
+    occurrences = [(i, a) for i, state in enumerate(t.there) for a in sorted(state)]
+    removed = [occurrences[j] for j in removed]
     here = tuple(s - {a for j, a in removed if j == i} for i, s in enumerate(t.there))
     return EquilibriumVerdict("blocked", TimedHTTrace(t.alphabet, here, t.there, t.tau),
                               witnesses)
@@ -129,26 +146,22 @@ def is_equilibrium(t: TimedHTTrace, theory: Theory) -> EquilibriumVerdict:
 def enumerate_equilibrium(theory: Theory, bounds: Space) -> Iterator[EquilibriumResult]:
     """All equilibrium models of a space's total traces, in enumeration order
     (grouped by ascending length for ``TraceBounds``)."""
-    if not theory.alphabet <= bounds.alphabet:
-        raise ValueError("theory alphabet must be contained in the search alphabet")
-    compiled = _compile_theory(theory)
-    atoms = [sorted(s) for s, _ in _state_table(bounds.alphabet, total_only=True)]
+    compiled = _compile_theory(theory, bounds.alphabet)
     for grid in grid_batches(bounds, total_only=True):
-        def occurrences(lane, digits=grid.digits):
-            return [(i, a) for i, d in enumerate(digits(lane)) for a in atoms[d]]
-
         total = grid.batch
         models = total.models(compiled)
-        verdicts = _minimality(total, compiled, models, occurrences)
-        for lane in iter_lanes(models):
-            witnesses, removed = verdicts[lane]
-            if removed is None:  # only equilibria become trace objects
-                yield EquilibriumResult(grid.trace(lane), total.lam, witnesses)
+        if not models:
+            continue
+        equilibria = {lane: witnesses
+                      for lanes, witnesses, removed in _minimality(total, compiled, models)
+                      if removed is None for lane in iter_lanes(lanes)}
+        for lane in sorted(equilibria):  # only equilibria become trace objects
+            yield EquilibriumResult(grid.trace(lane), total.lam, equilibria[lane])
 
 
 def iter_models(theory: Theory, bounds: Space) -> Iterator[TimedHTTrace]:
     """All HT-traces within bounds that model the theory (not just total ones)."""
-    compiled = _compile_theory(theory)
+    compiled = _compile_theory(theory, bounds.alphabet)
     for grid in grid_batches(bounds):
         for lane in iter_lanes(grid.batch.models(compiled)):
             yield grid.trace(lane)

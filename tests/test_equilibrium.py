@@ -18,6 +18,7 @@ from mdel.traces import (
 from naive_ref import naive_equilibrium_models, naive_is_model
 
 A1 = frozenset("a")
+AB = frozenset("ab")
 EV_A = parse_theory("ev a", A1)
 EMPTY = Theory((), A1)
 BOT_THEORY = parse_theory("bot", A1)
@@ -138,6 +139,22 @@ def test_alphabet_containment_enforced():
         list(enumerate_equilibrium(sos_theory(), TraceBounds(A1, 1, 1)))
 
 
+def test_iter_models_enforces_alphabet_containment():
+    with pytest.raises(ValueError):
+        list(iter_models(parse_theory("a | b", AB), TraceBounds(A1, 1, 1)))
+
+
+def test_is_model_enforces_alphabet_containment():
+    # b is outside the trace's alphabet: refused, not read as false
+    with pytest.raises(ValueError):
+        is_model(make_trace(A1, [set()], [0]), parse_theory("a | b", AB))
+
+
+def test_is_equilibrium_enforces_alphabet_containment():
+    with pytest.raises(ValueError):
+        is_equilibrium(make_trace(A1, [{"a"}], [0]), parse_theory("a | b", AB))
+
+
 def test_iter_models_includes_ht_models():
     ms = list(iter_models(EV_A, TraceBounds(A1, 1, 1)))
     assert make_trace(A1, [{"a"}], [0]) in ms
@@ -166,7 +183,6 @@ def _reference_check(t, compiled):
     return "equilibrium", None, witnesses
 
 
-AB = frozenset("ab")
 # theories whose equilibria need several rounds or block in late rounds
 HAND_THEORIES = [
     "alw (!b -> a)", "!a -> b\n!b -> a", "a | b", "alw (a -> next b)\nev[1..2] a",
@@ -249,3 +265,56 @@ def test_curated_space_must_start_at_zero():
     for grid in ((), (5, 40)):
         with pytest.raises(ValueError):
             curated_space(grid)
+
+
+# -- the grouped minimality search: lanes with equally many occurrences share
+# each round's candidate, so one grid mixes groups in different states ------------
+
+def _matches_reference(theory, space):
+    """Check the enumerated equilibria (order, witnesses) and every trace's
+    is_equilibrium verdict against _reference_check.
+
+    Returns the reference verdicts of the models by occurrence count.
+    """
+    compiled = [compile_to_core(f) for f in theory.formulas]
+    want, groups = [], {}
+    for t in enumerate_traces(space):
+        status, blocker, witnesses = _reference_check(t, compiled)
+        got = is_equilibrium(t, theory)
+        assert (got.status, got.blocker, got.witnesses_checked) == (status, blocker, witnesses)
+        n = sum(map(len, t.there))
+        if status == "equilibrium":
+            assert witnesses == 2 ** n - 1
+            want.append((t, t.length, witnesses))
+        if status != "not-model":
+            groups.setdefault(n, []).append((status, witnesses))
+    got = [(r.model, r.lam, r.witnesses_checked) for r in enumerate_equilibrium(theory, space)]
+    assert got == want
+    return groups
+
+
+@pytest.mark.parametrize("limit", [lanes.LANE_LIMIT, 8])
+def test_groups_run_out_stay_open_and_block_in_one_grid(limit, monkeypatch):
+    # at LANE_LIMIT 8 each chunk fixes two positions, so the occurrence
+    # counters of a chunk start from its prefix's occurrences
+    monkeypatch.setattr(lanes, "LANE_LIMIT", limit)
+    theory = parse_theory("(a & next a) | (b & next b & next next b)", AB)
+    groups = _matches_reference(theory, TimeGrids(AB, [(0, 1, 2)]))
+    assert groups[2] == [("equilibrium", 3)]  # runs out in round 4 ...
+    assert ("equilibrium", 7) in groups[3]  # ... while this group is still open
+    assert ("blocked", 2) in groups[3]
+    for n in (4, 5, 6):  # and these are blocked by then
+        assert all(status == "blocked" and witnesses <= 3 for status, witnesses in groups[n])
+
+
+THREE_ATOMS = [sos_theory(RESCALED), parse_theory("alw (a | b)\nalw (b | c)", "abc")]
+
+
+@pytest.mark.parametrize("limit", [lanes.LANE_LIMIT, 8])
+@pytest.mark.parametrize("theory", THREE_ATOMS, ids=["sos", "two-choices"])
+def test_three_atoms_with_up_to_nine_occurrences(theory, limit, monkeypatch):
+    monkeypatch.setattr(lanes, "LANE_LIMIT", limit)
+    space = TimeGrids(theory.alphabet, [(0, 4, 5), (0, 1, 5), (0, 2, 3)])
+    groups = _matches_reference(theory, space)
+    assert max(groups) == 9
+    assert any(status == "equilibrium" for verdicts in groups.values() for status, _ in verdicts)
