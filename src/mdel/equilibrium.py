@@ -10,7 +10,7 @@ position-major with atoms sorted alphabetically); the first blocking model
 in that order is reported.
 
 All checks run on lane batches (:mod:`mdel.lanes`): the enumerator
-evaluates every total trace of one (lambda, tau) in one pass, and the
+evaluates the total traces of a chunk of time grids in one pass, and the
 minimality search runs in rounds, round r evaluating the r-th candidate of
 every model still open in one here batch whose there twin is that pass.
 Models with the same number of occurrences share their candidates' index
@@ -60,8 +60,9 @@ def is_model(m: TimedHTTrace, theory: Theory) -> bool:
 
     The empty trace has no position 0, so it models only the empty theory.
     """
-    twin = None if m.is_total else LaneBatch(m.tau, trace_columns(m.there), 1)
-    batch = LaneBatch(m.tau, trace_columns(m.here), 1, twin=twin)
+    times = ((m.tau, 1),)
+    twin = None if m.is_total else LaneBatch(times, trace_columns(m.there), 1)
+    batch = LaneBatch(times, trace_columns(m.here), 1, twin=twin)
     return bool(batch.models(_compile_theory(theory, m.alphabet)))
 
 
@@ -116,7 +117,7 @@ def _minimality(total: LaneBatch, compiled, models: int) -> list:
         columns = {a: [x & ~sum(r & c for r, c in zip(ranks.get((i, a), ()), chosen))
                        for i, x in enumerate(col)]
                    for a, col in total.columns.items()}
-        here = LaneBatch(total.tau, columns, total.full, twin=total, shared=total.shared)
+        here = LaneBatch(total.times, columns, total.full, twin=total, shared=total.shared)
         blocked = here.models(compiled, active)
         for n, live in groups.items():
             if live & blocked:
@@ -130,7 +131,7 @@ def is_equilibrium(t: TimedHTTrace, theory: Theory) -> EquilibriumVerdict:
     if not t.is_total:
         raise ValueError("equilibrium checking is defined on total traces only")
     compiled = _compile_theory(theory, t.alphabet)
-    total = LaneBatch(t.tau, trace_columns(t.there), 1)
+    total = LaneBatch(((t.tau, 1),), trace_columns(t.there), 1)
     if not total.models(compiled):
         return EquilibriumVerdict("not-model", None, 0)
     [(_, witnesses, removed)] = _minimality(total, compiled, 1)

@@ -1,16 +1,21 @@
-"""Lane-batched HT evaluation: one pass over many traces that share (lambda, tau).
+"""Lane-batched HT evaluation: one pass over many traces of one length.
 
 A lane is one trace.  A formula's value is a list of lambda lane masks
 (``value[k]`` has bit ``l`` set when the formula holds at position ``k`` of
 lane ``l``), and a relation is a lambda x lambda matrix of lane masks, kept
 as one dict of nonzero entries per row (``rel[k][i]`` has bit ``l`` set when
-position ``i`` is reachable from ``k`` in lane ``l``).  Time windows depend
-on tau alone, so they are one position mask per position, shared by every
-lane.  Each bitwise operation thus evaluates all lanes at once, as in the
-bit-parallel simulation of logic synthesis.
+position ``i`` is reachable from ``k`` in lane ``l``).  The lanes of a batch
+may have different time grids: ``times`` lists ``(tau, lanes)`` blocks, and
+a time window is a lambda x lambda matrix of lane masks (``window[k][i]``:
+the lanes whose tau(i) - tau(k) lies in the interval), kept as one position
+mask per row for the entries that hold in every lane and a dict of the
+others.  Each bitwise operation thus evaluates all lanes at once, as in the
+bit-parallel simulation of logic synthesis; the case split on the time
+stamps is moved into the masks.
 
-Grids number their lanes by state-table index digits, the first position
-most significant, so ascending lane order is the order in which
+Grids number the lanes of one length as the mixed-radix number (time grid
+index, state-table index of position 0, ..., of position lambda - 1), the
+time grid most significant, so ascending lane order is the order in which
 ``enumerate_traces`` yields the same traces.
 
 This is the only HT evaluator.  ``semantics.Evaluator`` reads one-lane
@@ -25,8 +30,8 @@ check by whole-batch bit operations, reads only those lanes' positions with
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from itertools import product
-from operator import or_
+from itertools import groupby, islice, product, repeat
+from operator import and_, or_
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .formulas import (
@@ -35,8 +40,9 @@ from .formulas import (
 )
 from .traces import Space, TimedHTTrace, _state_table
 
-# A length whose lane space is wider than this is split into chunks that fix
-# the states of the first positions; it bounds the size of every lane mask.
+# A chunk holds as many whole time grids of one length as fit in this many
+# lanes; a time grid wider than this is split into chunks that fix the states
+# of the first positions.  It bounds the size of every lane mask.
 LANE_LIMIT = 1 << 10
 
 
@@ -69,20 +75,21 @@ def lane_rows(rel: List[dict], lane: int) -> tuple:
 
 
 class LaneBatch:
-    """Here-world satisfaction for the lanes of one (lambda, tau).
+    """Here-world satisfaction for the lanes of one length.
 
-    ``columns`` maps each atom to its lambda here-world lane masks and
-    ``full`` is the mask of all lanes.  ``twin`` is the batch of the lanes'
-    total there-components over the same lanes; a batch of total traces is
-    its own twin.  ``shared`` caches what does not depend on the lanes' states
-    (time windows, relations of test-free paths) and may be shared between
-    batches.
+    ``times`` lists ``(tau, lanes)`` blocks that partition the lanes: the
+    time grid of each set of lanes, all of one length lambda.  ``columns`` maps each atom to its
+    lambda here-world lane masks and ``full`` is the mask of all lanes.
+    ``twin`` is the batch of the lanes' total there-components over the same
+    lanes; a batch of total traces is its own twin.  ``shared`` caches what
+    does not depend on the lanes' states (time windows, relations of
+    test-free paths) and may be shared between batches.
     """
 
-    def __init__(self, tau: tuple, columns: dict, full: int,
+    def __init__(self, times: tuple, columns: dict, full: int,
                  twin: Optional["LaneBatch"] = None, shared: Optional[dict] = None):
-        self.tau = tau
-        self.lam = len(tau)
+        self.times = times
+        self.lam = len(times[0][0])
         self.columns = columns
         self.full = full
         self.twin = self if twin is None else twin
@@ -104,16 +111,37 @@ class LaneBatch:
                 break
         return out
 
-    def time_rows(self, lo, hi) -> tuple:
-        """rows[k] = positions i with tau(i) - tau(k) strictly between lo and hi."""
-        key = (self.tau, lo, hi)
-        rows = self.shared.get(key)
-        if rows is None:
-            tau = self.tau
-            rows = tuple(sum(1 << i for i, ti in enumerate(tau) if lo < ti - tk < hi)
-                         for tk in tau)
-            self.shared[key] = rows
-        return rows
+    def window(self, lo, hi) -> tuple:
+        """The lanes with tau(i) - tau(k) strictly between lo and hi, sparsely:
+        ``(inside, partial)``, where ``inside[k]`` is the positions i where that
+        holds in every lane, and ``partial[k][i]`` the lanes where it holds
+        when they are only some (None when no entry is partial, as in a
+        batch of one time grid)."""
+        key = (self.times, lo, hi)
+        table = self.shared.get(key)
+        if table is None:
+            blocks = []  # per time grid, positions[k]: the i in the window of k
+            for tau, lanes in self.times:
+                positions = []
+                for tk in tau:
+                    mask = 0
+                    for i, ti in enumerate(tau):
+                        if lo < ti - tk < hi:
+                            mask |= 1 << i
+                    positions.append(mask)
+                blocks.append((positions, lanes))
+            # the blocks partition the lanes: in every block means in every lane
+            inside = [reduce(and_, column) for column in zip(*(p for p, _ in blocks))]
+            partial = None
+            for positions, lanes in blocks:
+                for k, (mask, every) in enumerate(zip(positions, inside)):
+                    if mask != every:
+                        partial = partial or [{} for _ in inside]
+                        row = partial[k]
+                        for i in iter_lanes(mask & ~every):
+                            row[i] = row.get(i, 0) | lanes
+            table = self.shared[key] = (inside, partial)
+        return table
 
     # -- satisfaction ------------------------------------------------------------
 
@@ -134,17 +162,19 @@ class LaneBatch:
             return [0] * lam
         if t is Diamond or t is Box:
             rel = self.rel(f.path)
-            times = self.time_rows(f.interval.lo, f.interval.hi)
+            inside, partial = self.window(f.interval.lo, f.interval.hi)
             body = self.sat(f.body)
-            diamond = t is Diamond
+            diamond, full = t is Diamond, self.full
             out = []
-            for row, window in zip(rel, times):
+            for row, every, some in zip(rel, inside, partial or repeat(None)):
                 acc = 0
                 for i, x in row.items():
-                    if window >> i & 1:
-                        # diamond: a witness; box: a counterexample
+                    # diamond: a witness; box: a counterexample
+                    if every >> i & 1:  # i is in the window in every lane
                         acc |= x & body[i] if diamond else x & ~body[i]
-                out.append(acc if diamond else self.full ^ acc)
+                    elif some and i in some:  # in the lanes some[i] only
+                        acc |= x & some[i] & body[i] if diamond else x & some[i] & ~body[i]
+                out.append(acc if diamond else full ^ acc)
             if not diamond and self.twin is not self:
                 # the universal condition must also hold in the there world
                 out = [x & y for x, y in zip(out, self.twin.sat(f))]
@@ -243,10 +273,14 @@ def trace_columns(states: Sequence[frozenset]) -> dict:
     return columns
 
 
-def grid_columns(states: Sequence[frozenset], prefix: tuple, suffix: int) -> tuple:
-    """``(columns, full)`` of one chunk; ``states`` lists the state of each index."""
+def grid_columns(states: Sequence[frozenset], prefix: tuple, suffix: int,
+                 blocks: int = 1) -> tuple:
+    """``(columns, full)`` of one chunk; ``states`` lists the state of each index.
+
+    The chunk repeats the lanes of one time grid ``blocks`` times, once per
+    time grid it holds."""
     size, lam = len(states), len(prefix) + suffix
-    full = (1 << size ** suffix) - 1
+    full = (1 << blocks * size ** suffix) - 1
     columns: dict = {}
     for i, d in enumerate(prefix):
         for a in states[d]:
@@ -268,19 +302,22 @@ def grid_columns(states: Sequence[frozenset], prefix: tuple, suffix: int) -> tup
 
 
 class Grid:
-    """One lane chunk of a (lambda, tau): its batch and the traces of its lanes.
+    """One lane chunk of a length: its batch and the traces of its lanes.
 
-    The chunk fixes the states of the first positions (``prefix`` holds
-    their state-table indices); lane ``l`` gives the remaining ``suffix``
-    positions the base-``len(table)`` digits of ``l``.  ``size`` is the
-    number of lanes and ``total`` (computed on first use) the mask of the
-    lanes whose trace is total.
+    The chunk holds whole time grids, ``block`` lanes each, or a part of one
+    time grid that fixes the states of its first positions (``prefix``
+    holds their state-table indices).  Lane ``l`` has the time grid of
+    ``batch.times[l // block]`` and gives the remaining ``suffix`` positions
+    the base-``len(table)`` digits of ``l % block``.  ``size`` is the number
+    of lanes and ``total`` (computed on first use) the mask of the lanes
+    whose trace is total.
     """
 
     def __init__(self, batch: LaneBatch, table: list, alphabet: frozenset,
                  prefix: tuple, suffix: int):
         self.batch = batch
         self.size = batch.full.bit_length()
+        self.block = len(table) ** suffix
         self._table = table
         self._alphabet = alphabet
         self._prefix = prefix
@@ -300,6 +337,7 @@ class Grid:
 
     def digits(self, lane: int) -> tuple:
         """The state-table index of every position of a lane."""
+        lane %= self.block
         digits = [0] * self._suffix
         for q in range(self._suffix - 1, -1, -1):
             lane, digits[q] = divmod(lane, len(self._table))
@@ -308,32 +346,38 @@ class Grid:
     def trace(self, lane: int) -> TimedHTTrace:
         states = [self._table[d] for d in self.digits(lane)]
         return TimedHTTrace(self._alphabet, tuple(h for h, _ in states),
-                            tuple(t for _, t in states), self.batch.tau)
+                            tuple(t for _, t in states), self.batch.times[lane // self.block][0])
 
 
 def grid_batches(space: Space, total_only: Optional[bool] = None) -> Iterator[Grid]:
-    """One grid per lane chunk of every time grid of a space, in enumeration order.
+    """One grid per lane chunk of a space, in enumeration order.
 
     ``space`` is a ``TraceBounds`` or a ``TimeGrids``; ``total_only`` defaults
-    to the space's own.  The batches of one call share their lane-independent
-    tables.
+    to the space's own.  A chunk holds consecutive time grids of one length,
+    as many as fit in ``LANE_LIMIT`` lanes, or a part of one that is wider.
+    The batches of one call share their lane-independent tables.
     """
     total_only = space.total_only if total_only is None else total_only
     table = _state_table(space.alphabet, total_only)
     here = [h for h, _ in table]
     there = [t for _, t in table]
     shared: dict = {}
-    lam = None
-    for tau in space.time_grids():
-        if len(tau) != lam:  # the columns depend on the length only, not on tau
-            lam = suffix = len(tau)  # chunks of at most LANE_LIMIT lanes
-            while suffix and len(table) ** suffix > LANE_LIMIT:
-                suffix -= 1
-            chunks = [(prefix, grid_columns(here, prefix, suffix),
-                       None if total_only else grid_columns(there, prefix, suffix)[0])
-                      for prefix in product(range(len(table)), repeat=lam - suffix)]
-        for prefix, (columns, full), there_columns in chunks:
-            twin = (None if there_columns is None
-                    else LaneBatch(tau, there_columns, full, shared=shared))
-            batch = LaneBatch(tau, columns, full, twin=twin, shared=shared)
-            yield Grid(batch, table, space.alphabet, prefix, suffix)
+    for lam, run in groupby(space.time_grids(), len):
+        suffix = lam  # positions given by the lane digits
+        while suffix and len(table) ** suffix > LANE_LIMIT:
+            suffix -= 1
+        block = len(table) ** suffix
+        per = LANE_LIMIT // block if suffix == lam else 1  # time grids per chunk
+        chunks: dict = {}  # number of time grids -> (prefix, columns, full, there columns)
+        while taus := list(islice(run, per)):
+            times = tuple((tau, ((1 << block) - 1) << j * block) for j, tau in enumerate(taus))
+            if len(taus) not in chunks:  # the columns depend on the length only
+                chunks[len(taus)] = [
+                    (prefix, *grid_columns(here, prefix, suffix, len(taus)),
+                     None if total_only else grid_columns(there, prefix, suffix, len(taus))[0])
+                    for prefix in product(range(len(table)), repeat=lam - suffix)]
+            for prefix, columns, full, there_columns in chunks[len(taus)]:
+                twin = (None if there_columns is None
+                        else LaneBatch(times, there_columns, full, shared=shared))
+                batch = LaneBatch(times, columns, full, twin=twin, shared=shared)
+                yield Grid(batch, table, space.alphabet, prefix, suffix)

@@ -8,7 +8,7 @@ expected outcome is a failure report exhibiting a counterexample.
 
 The exhaustive scans walk the grids of :func:`mdel.lanes.grid_batches`.
 Per lane batch they evaluate the compiled side once, and the direct metric
-oracle (:class:`mdel.mht.MhtEvaluator`) once over the same time grid and
+oracle (:class:`mdel.mht.MhtEvaluator`) once over the same time blocks and
 atom columns; comparing whole batch values gives, per check, the mask of
 the lanes that may fail it.  Each scan lists a grid's checks in per-lane
 order and hands them to one walker (:func:`_walk`), which reads only those
@@ -38,10 +38,10 @@ from .formulas import (
 )
 from .intervals import Interval, IntervalError, NEG_OMEGA, OMEGA, UNTIMED
 from .lanes import (
-    Grid, LaneBatch, grid_batches, iter_lanes, lane_mask, lane_rows, lanes_of, low_bit,
+    Grid, LaneBatch, grid_batches, iter_lanes, lane_mask, lanes_of, low_bit, trace_columns,
 )
 from .mht import MhtEvaluator
-from .semantics import ClassicalEvaluator, Evaluator, HERE, THERE
+from .semantics import ClassicalEvaluator
 from .traces import TimedHTTrace, TraceBounds, trace_to_dict
 
 
@@ -332,17 +332,17 @@ def _count(out: ScanOutcome, per_lane: dict, start: int, stop: int) -> None:
 
 
 def _classical_reference(batch: LaneBatch) -> ClassicalEvaluator:
-    """The classical evaluator on a batch's time grid and there-world columns;
+    """The classical evaluator on a batch's time blocks and there-world columns;
     on a total lane, these are the lane's own states."""
     twin = batch.twin
-    return ClassicalEvaluator(twin.tau, twin.columns, twin.full)
+    return ClassicalEvaluator(twin.times, twin.columns, twin.full)
 
 
 def _direct_oracle(batch: LaneBatch) -> MhtEvaluator:
-    """The direct metric evaluator on a batch's time grid and atom columns."""
+    """The direct metric evaluator on a batch's time blocks and atom columns."""
     twin = batch.twin
-    total = None if twin is batch else MhtEvaluator(twin.tau, twin.columns, twin.full)
-    return MhtEvaluator(batch.tau, batch.columns, batch.full, total)
+    total = None if twin is batch else MhtEvaluator(twin.times, twin.columns, twin.full)
+    return MhtEvaluator(batch.times, batch.columns, batch.full, total)
 
 
 # -- combined agreement / persistence / totality scan ------------------------------
@@ -409,41 +409,6 @@ def relation_scan(paths: Sequence[PathExpr], bounds: TraceBounds) -> ScanOutcome
         if _walk(out, grid, checks, 1):
             break
     return out
-
-
-def star_properties(paths: Sequence[PathExpr], bounds: TraceBounds) -> Optional[dict]:
-    """Star must be the least reflexive-transitive relation containing its body."""
-    paths = [(rho, Star(rho)) for rho in map(F.compile_path, paths)]
-    for grid in grid_batches(bounds):
-        lam = grid.batch.lam
-        values = [(grid.batch.rel(rho), grid.batch.rel(star)) for rho, star in paths]
-        for lane in range(grid.size):
-            for (rho, _), (base_rel, star_rel) in zip(paths, values):
-                base, star = lane_rows(base_rel, lane), lane_rows(star_rel, lane)
-                reflexive = all(star[k] >> k & 1 for k in range(lam))
-                contains = all(not (b & ~s) for b, s in zip(base, star))
-                # every position reachable from k reaches nothing beyond star[k]
-                transitive = all(not (star[j] & ~star[k]) for k in range(lam)
-                                 for j in range(lam) if star[k] >> j & 1)
-                # least: recompute a closure independently and compare
-                least = _naive_closure(base, lam)
-                if not (reflexive and contains and transitive and least == star):
-                    return _cex(grid.trace(lane), 0, path=rho)
-    return None
-
-
-def _naive_closure(rows, lam):
-    pairs = {(k, i) for k, row in enumerate(rows) for i in range(lam) if row >> i & 1}
-    pairs |= {(k, k) for k in range(lam)}
-    while True:
-        extra = {(k, j) for (k, i) in pairs for (i2, j) in pairs if i == i2} - pairs
-        if not extra:
-            break
-        pairs |= extra
-    out = [0] * lam
-    for k, i in pairs:
-        out[k] |= 1 << i
-    return tuple(out)
 
 
 # -- boolean connective clauses ------------------------------------------------------
@@ -642,15 +607,25 @@ def em_collapse_scan(theories: Sequence[Theory], bounds: TraceBounds) -> ScanOut
 
 def tau_independence_scan(formulas: Sequence[Formula], rng: random.Random,
                           bounds: TraceBounds, samples: int) -> ScanOutcome:
-    """Interval-free formulas may not distinguish traces differing only in tau."""
+    """Interval-free formulas may not distinguish traces differing only in tau.
+
+    Each sample is one batch of two lanes with the same states: lane 0 on
+    one time grid, lane 1 on another.  A space without a nonempty trace
+    checks nothing."""
     out = ScanOutcome()
     for f in formulas:
         if not F.is_interval_free(f):
             raise ValueError("tau independence requires interval-free formulas")
+    if bounds.lambda_max < 1:
+        return out
     compiled = [(f, compile_to_core(f)) for f in formulas]
     atoms = sorted(bounds.alphabet)
+
+    def both_lanes(states):  # the one-lane columns, in lanes 0 and 1
+        return {a: [3 * x for x in column] for a, column in trace_columns(states).items()}
+
     for _ in range(samples):
-        lam = rng.randint(1, max(bounds.lambda_max, 1))
+        lam = rng.randint(1, bounds.lambda_max)
         there, here = [], []
         for _ in range(lam):
             t = frozenset(x for x in atoms if rng.random() < 0.5)
@@ -664,15 +639,16 @@ def tau_independence_scan(formulas: Sequence[Formula], rng: random.Random,
             return tuple(tau)
 
         tau1, tau2 = grid(), grid()
-        m1 = TimedHTTrace(bounds.alphabet, tuple(here), tuple(there), tau1)
-        m2 = TimedHTTrace(bounds.alphabet, tuple(here), tuple(there), tau2)
-        ev1, ev2 = Evaluator(m1), Evaluator(m2)
+        times = ((tau1, 1), (tau2, 2))
+        twin = LaneBatch(times, both_lanes(there), 3)
+        batch = LaneBatch(times, both_lanes(here), 3, twin=twin, shared=twin.shared)
         f, core = compiled[rng.randrange(len(compiled))]
         out.traces += 1
         out.checks += 2 * lam
-        for world in (HERE, THERE):
-            diff = ev1.sat_mask(core, world) ^ ev2.sat_mask(core, world)
+        for value in (batch.sat(core), twin.sat(core)):  # here, then there
+            diff = lane_mask(value, 0) ^ lane_mask(value, 1)
             if diff:
+                m1 = TimedHTTrace(bounds.alphabet, tuple(here), tuple(there), tau1)
                 out.agreement_violations.append(
                     _cex(m1, low_bit(diff), formula=f, other_tau=list(tau2)))
                 return out

@@ -7,14 +7,16 @@ serves as an independent oracle for the compiled core semantics.  Boolean
 connectives follow the here-and-there readings: implication is checked in
 both worlds, negation is dissatisfaction in the collapsed total trace.
 
-It evaluates many traces of one time grid at once.  Its only inputs are the
-grid's time stamps ``tau`` and its atom columns: ``columns[a][k]`` is the
-lane mask of the traces (lanes) with atom ``a`` at position ``k``, in the
-encoding of :func:`mdel.lanes.grid_columns` and ``trace_columns``.  A
-formula's value is a list of ``lambda`` lane masks, and every clause is its
-position loop with the Boolean operations applied to lane masks instead of
-truth values.  The clauses, the time windows and the memo are its own; it
-shares no evaluation code with the lane engine's
+It evaluates many traces of one length at once.  Its only inputs are the
+lanes' time stamps, as ``(tau, lanes)`` blocks (the time grid of each set
+of lanes), and their atom columns: ``columns[a][k]`` is the lane mask of
+the traces (lanes) with atom ``a`` at position ``k``, in the encoding of
+:func:`mdel.lanes.grid_columns` and ``trace_columns``.  A formula's value
+is a list of ``lambda`` lane masks, and every clause is its position loop
+with the Boolean operations applied to lane masks instead of truth values;
+an interval test is the lane mask ``window[k][i]`` of the lanes whose
+tau(i) - tau(k) lies in the interval.  The clauses, the time windows and
+the memo are its own; it shares no evaluation code with the lane engine's
 :class:`~mdel.lanes.LaneBatch`.  :func:`mht_satisfies` is the one-lane view
 of a single trace.
 """
@@ -28,23 +30,25 @@ from .formulas import (
     Implies, Initial, Next, Not, Or, Prev, Release, Since, Top, Trigger,
     Until, WNext, WPrev,
 )
+from .intervals import Interval
 from .lanes import trace_columns
 from .semantics import HERE, THERE, World, _check_position
 from .traces import TimedHTTrace
 
 
 class MhtEvaluator:
-    """Memoizing direct evaluator for the here world of the lanes of one grid.
+    """Memoizing direct evaluator for the here world of lanes of one length.
 
-    ``full`` is the mask of all lanes, and ``total`` the evaluator over the
-    lanes' there-world columns (their collapsed total traces); a grid of
-    total traces is its own ``total``.
+    ``times`` lists the ``(tau, lanes)`` blocks, ``full`` is the mask of all
+    lanes, and ``total`` the evaluator over the lanes' there-world columns
+    (their collapsed total traces); a grid of total traces is its own
+    ``total``.
     """
 
-    def __init__(self, tau: tuple, columns: dict, full: int,
+    def __init__(self, times: tuple, columns: dict, full: int,
                  total: Optional["MhtEvaluator"] = None):
-        self.tau = tau
-        self.lam = len(tau)
+        self.times = times
+        self.lam = len(times[0][0])
         self.columns = columns
         self.full = full
         self.total = self if total is None else total
@@ -52,6 +56,20 @@ class MhtEvaluator:
         # reused by a new node while its entry is live
         self._memo: dict = {}
         self._pin: list = []
+        self._windows = {} if total is None else total._windows  # the same lanes
+
+    def window(self, iv: Interval) -> List[List[int]]:
+        """``window[k][i]``: the lanes whose tau(i) - tau(k) lies in the interval."""
+        w = self._windows.get(iv)
+        if w is None:
+            lam = self.lam
+            w = self._windows[iv] = [[0] * lam for _ in range(lam)]
+            for tau, lanes in self.times:
+                for k in range(lam):
+                    for i in range(lam):
+                        if tau[i] - tau[k] in iv:
+                            w[k][i] |= lanes
+        return w
 
     def sat(self, f: Formula) -> List[int]:
         """``value[k]``: the lanes where f holds at position k (here world)."""
@@ -64,7 +82,7 @@ class MhtEvaluator:
 
     def _compute(self, f: Formula) -> List[int]:
         t = type(f)
-        sat, tau, lam, full = self.sat, self.tau, self.lam, self.full
+        sat, lam, full = self.sat, self.lam, self.full
         if t is Atom:
             return self.columns.get(f.name) or [0] * lam
         if t is Bot:
@@ -85,25 +103,25 @@ class MhtEvaluator:
             return [full if k == 0 else 0 for k in range(lam)]
         if t is Final:
             return [full if k + 1 == lam else 0 for k in range(lam)]
-        iv = f.interval
+        w = self.window(f.interval)  # w[k][i]: tau(i) - tau(k) in the interval
         if t is Next or t is WNext:
             # the strong form needs a successor within the interval, the weak
             # form holds without one
-            body, default = sat(f.body), 0 if t is Next else full
-            return [body[k + 1] if k + 1 < lam and tau[k + 1] - tau[k] in iv else default
-                    for k in range(lam)]
+            body, weak = sat(f.body), t is WNext
+            return [(body[k + 1] & w[k][k + 1] | (full & ~w[k][k + 1] if weak else 0))
+                    if k + 1 < lam else (full if weak else 0) for k in range(lam)]
         if t is Prev or t is WPrev:
-            body, default = sat(f.body), 0 if t is Prev else full
-            return [body[k - 1] if k > 0 and tau[k] - tau[k - 1] in iv else default
-                    for k in range(lam)]
+            body, weak = sat(f.body), t is WPrev
+            return [(body[k - 1] & w[k - 1][k] | (full & ~w[k - 1][k] if weak else 0))
+                    if k > 0 else (full if weak else 0) for k in range(lam)]
         out = []
         if t is Eventually or t is Always:
             body, ev = sat(f.body), t is Eventually
             for k in range(lam):
                 acc = 0 if ev else full
                 for i in range(k, lam):
-                    if tau[i] - tau[k] in iv:
-                        acc = acc | body[i] if ev else acc & body[i]
+                    inside = w[k][i]
+                    acc = acc | body[i] & inside if ev else acc & (body[i] | ~inside)
                 out.append(acc)
             return out
         if t is EvPast or t is AlwPast:
@@ -111,8 +129,8 @@ class MhtEvaluator:
             for k in range(lam):
                 acc = 0 if ev else full
                 for i in range(k + 1):
-                    if tau[k] - tau[i] in iv:
-                        acc = acc | body[i] if ev else acc & body[i]
+                    inside = w[i][k]  # tau(k) - tau(i) in the interval
+                    acc = acc | body[i] & inside if ev else acc & (body[i] | ~inside)
                 out.append(acc)
             return out
         if t is Until or t is Release:
@@ -122,8 +140,9 @@ class MhtEvaluator:
                 # release: every in-window j has right or left somewhere in [k, j)
                 acc, prefix = (0, full) if until else (full, 0)
                 for j in range(k, lam):
-                    if tau[j] - tau[k] in iv:
-                        acc = acc | right[j] & prefix if until else acc & (right[j] | prefix)
+                    inside = w[k][j]
+                    acc = (acc | right[j] & prefix & inside if until
+                           else acc & (right[j] | prefix | ~inside))
                     prefix = prefix & left[j] if until else prefix | left[j]
                 out.append(acc)
             return out
@@ -133,8 +152,9 @@ class MhtEvaluator:
                 # the mirror image: j runs back from k, the prefix is (j, k]
                 acc, prefix = (0, full) if since else (full, 0)
                 for j in range(k, -1, -1):
-                    if tau[k] - tau[j] in iv:
-                        acc = acc | right[j] & prefix if since else acc & (right[j] | prefix)
+                    inside = w[j][k]
+                    acc = (acc | right[j] & prefix & inside if since
+                           else acc & (right[j] | prefix | ~inside))
                     prefix = prefix & left[j] if since else prefix | left[j]
                 out.append(acc)
             return out
@@ -144,7 +164,8 @@ class MhtEvaluator:
 def mht_satisfies(m: TimedHTTrace, k: int, f: Formula, world: World = HERE) -> bool:
     """Direct metric satisfaction; f may use Boolean and metric operators only."""
     _check_position(m, k)
-    total = MhtEvaluator(m.tau, trace_columns(m.there), 1)
+    times = ((m.tau, 1),)
+    total = MhtEvaluator(times, trace_columns(m.there), 1)
     ev = (total if world is THERE or m.is_total
-          else MhtEvaluator(m.tau, trace_columns(m.here), 1, total))
+          else MhtEvaluator(times, trace_columns(m.here), 1, total))
     return bool(ev.sat(f)[k])

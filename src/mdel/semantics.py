@@ -11,18 +11,20 @@ there-world twin is the batch of the collapsed total trace.  Bounded scans
 (``is_tautology_bounded`` here, the law suites in :mod:`mdel.laws`) evaluate
 whole grids of traces at once instead.  The classical single-world
 semantics has its own grid evaluator, :class:`ClassicalEvaluator`, built
-from a grid's time stamps and atom columns only: dense relations, Box as
-the dual of Diamond, star as a squaring fixpoint, and its own windows and
-memo.  It shares no evaluation code with the lane engine, so the totality
-law compares two independent computations; ``Evaluator.mdl_sat_mask`` /
-``mdl_rel_rows`` and :func:`satisfies_mdl` are its one-lane views.
+from a batch's ``(tau, lanes)`` time blocks and atom columns only: dense
+relations, Box as the dual of Diamond, star as a squaring fixpoint, and its
+own windows (dense matrices of lane masks) and memo.  It shares no
+evaluation code with the lane engine, so the totality law compares two
+independent computations; ``Evaluator.mdl_sat_mask`` / ``mdl_rel_rows`` and
+:func:`satisfies_mdl` are its one-lane views.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Optional, Tuple
 
 from .formulas import (
@@ -78,7 +80,7 @@ class Evaluator:
     def _lanes(self) -> LaneBatch:
         if self._batch is None:
             twin = None if self.twin is self else self.twin._lanes()
-            self._batch = LaneBatch(self.trace.tau, trace_columns(self.trace.here), 1,
+            self._batch = LaneBatch(((self.trace.tau, 1),), trace_columns(self.trace.here), 1,
                                     twin=twin, shared=None if twin is None else twin.shared)
         return self._batch
 
@@ -95,7 +97,7 @@ class Evaluator:
 
     @cached_property
     def _classical(self) -> "ClassicalEvaluator":
-        return ClassicalEvaluator(self.trace.tau, trace_columns(self.trace.here), 1)
+        return ClassicalEvaluator(((self.trace.tau, 1),), trace_columns(self.trace.here), 1)
 
     def mdl_sat_mask(self, f: Formula) -> int:
         return lane_mask(self._classical.value(f), 0)
@@ -105,22 +107,24 @@ class Evaluator:
 
 
 class ClassicalEvaluator:
-    """Classical (single-world) satisfaction for the lanes of one time grid.
+    """Classical (single-world) satisfaction for lanes of one length.
 
-    Its inputs are a grid's time stamps ``tau``, its atom columns
+    Its inputs are the lanes' time stamps ``times`` (``(tau, lanes)``
+    blocks: the time grid of each set of lanes), their atom columns
     (``columns[a][k]`` is the lane mask of the lanes with atom ``a`` at
     position ``k``) and ``full``, the mask of all lanes.  A formula's value
     is a list of ``lambda`` lane masks; a path's value is a dense
     ``lambda x lambda`` list of lane masks (``rel[k][i]``: the lanes where
     ``i`` is reachable from ``k``).  Box is the complement of Diamond of the
     complement, and star is grown as the fixpoint of ``R | R;R``.  The time
-    windows and the memo are its own: it shares no evaluation code with the
-    lane engine.
+    windows (``window[k][i]``: the lanes whose tau(i) - tau(k) lies in the
+    interval) and the memo are its own: it shares no evaluation code with
+    the lane engine.
     """
 
-    def __init__(self, tau: tuple, columns: dict, full: int):
-        self.tau = tau
-        self.lam = len(tau)
+    def __init__(self, times: tuple, columns: dict, full: int):
+        self.times = times
+        self.lam = len(times[0][0])
         self.columns = columns
         self.full = full
         # keyed by node identity, with the nodes pinned (see MhtEvaluator)
@@ -175,21 +179,22 @@ class ClassicalEvaluator:
     def _diamond(self, f, body: list) -> list:
         """The lanes with a reachable position in the window where body holds."""
         out = []
-        for row, window in zip(self.value(f.path), self._window(f.interval)):
+        for row, inside in zip(self.value(f.path), self._window(f.interval)):
             acc = 0
-            for i in window:
-                acc |= row[i] & body[i]
+            for x, y, w in zip(row, body, inside):
+                acc |= x & y & w
             out.append(acc)
         return out
 
     def _window(self, iv: Interval) -> list:
-        """``window[k]``: the positions i with tau(i) - tau(k) in the interval."""
+        """``window[k][i]``: the lanes whose tau(i) - tau(k) lies in the interval."""
         key = (iv.lo, iv.hi)
         window = self._windows.get(key)
         if window is None:
-            tau = self.tau
-            window = self._windows[key] = [[i for i, ti in enumerate(tau) if ti - tk in iv]
-                                           for tk in tau]
+            window = self._windows[key] = [
+                [reduce(or_, (lanes for tau, lanes in self.times if tau[i] - tau[k] in iv), 0)
+                 for i in range(self.lam)]
+                for k in range(self.lam)]
         return window
 
 

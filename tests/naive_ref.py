@@ -112,3 +112,19 @@ def naive_equilibrium_models(core_formulas, alphabet, lambda_max, max_gap):
                 if not blocked:
                     models.add((tau, states))
     return models
+
+
+def naive_closure(rows, lam):
+    """The reflexive-transitive closure of position rows, as sets of pairs
+    joined until nothing changes."""
+    pairs = {(k, i) for k, row in enumerate(rows) for i in range(lam) if row >> i & 1}
+    pairs |= {(k, k) for k in range(lam)}
+    while True:
+        extra = {(k, j) for (k, i) in pairs for (i2, j) in pairs if i == i2} - pairs
+        if not extra:
+            break
+        pairs |= extra
+    out = [0] * lam
+    for k, i in pairs:
+        out[k] |= 1 << i
+    return tuple(out)

@@ -1,9 +1,17 @@
+import random
+from types import SimpleNamespace
+
+import pytest
+
+from mdel import lanes
 from mdel.formulas import (
-    Atom, Choice, Converse, Diamond, Formula, Not, STEP, Seq, Star, Test, compile_to_core,
-    formula_path,
+    BINARY_METRIC, UNARY_METRIC, Atom, Choice, Converse, Diamond, Formula, Not, STEP, Seq,
+    Star, Test, compile_to_core, formula_path,
 )
-from mdel.intervals import UNTIMED
-from mdel.lanes import LaneBatch, grid_columns
+from mdel.intervals import UNTIMED, Interval
+from mdel.lanes import LaneBatch, grid_batches, grid_columns
+from mdel.laws import _classical_reference, _direct_oracle, random_formula
+from mdel.traces import TimeGrids, TraceBounds, enumerate_traces, total_of
 
 STATES = [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
 TAU = (0, 1, 3)
@@ -11,7 +19,7 @@ TAU = (0, 1, 3)
 
 def _batch():
     columns, full = grid_columns(STATES, (), len(TAU))  # all 64 total traces
-    return LaneBatch(TAU, columns, full)
+    return LaneBatch(((TAU, full),), columns, full)
 
 
 def test_cache_keys_outlive_fresh_nodes():
@@ -63,3 +71,79 @@ def test_scan_violations_come_in_enumeration_order(monkeypatch):
     out = agreement_scan([f], bounds, check_agreement=False, max_violations=3)
     assert [v["trace"] for v in out.totality_violations] == want
     assert out.traces == traces
+
+
+# -- time grids of one length folded into one batch ----------------------------------
+
+# runs of one length broken by other lengths; none of them folds into another
+BROKEN = [(0, 3), (0, 1), (), (0, 2), (0, 1, 4), (0, 1, 2), (0, 2)]
+SPACES = {
+    # HT traces over explicit grids: 9 and 27 lanes per time grid
+    "broken-ht": SimpleNamespace(alphabet=frozenset("a"), total_only=False,
+                                 time_grids=lambda: iter(BROKEN)),
+    "broken-total": TimeGrids(frozenset("ab"), BROKEN),  # 16 and 64 lanes
+    # three 81-lane time grids of length 2 (the oracle-agreement bounds)
+    "gaps-ht": TraceBounds(frozenset("ab"), 2, 3),
+}
+
+
+def _folding_formulas(atoms):
+    """Metric formulas (every operator over two partial windows) and random
+    formulas with modalities over tests, stars and converses."""
+    a, b = Atom(atoms[0]), Atom(atoms[-1])
+    windows = (Interval.closed_closed(1, 2), Interval.closed_open(0, 2))
+    metric = [op(iv, x) for op in UNARY_METRIC for iv in windows for x in (a, Not(b))]
+    metric += [op(iv, a, b) for op in BINARY_METRIC for iv in windows]
+    rng = random.Random(11)
+    dynamic = [random_formula(rng, atoms, rng.randint(1, 3)) for _ in range(24)]
+    return metric, dynamic
+
+
+@pytest.mark.parametrize("space, limit", [
+    ("broken-ht", 1024), ("broken-ht", 8), ("broken-total", 1024), ("broken-total", 8),
+    ("gaps-ht", 162),  # a chunk of two time grids, then one of one
+])
+def test_folded_grids_match_naive_reference(space, limit, monkeypatch, naive):
+    # the lane engine in both worlds, the direct oracle in both worlds and the
+    # classical evaluator, lane by lane against enumerate_traces and naive_ref
+    monkeypatch.setattr(lanes, "LANE_LIMIT", limit)
+    naive_satisfies, forget = naive
+    space = SPACES[space]
+    metric, dynamic = _folding_formulas(sorted(space.alphabet))
+    formulas = [(f, compile_to_core(f), f in metric) for f in metric + dynamic]
+    traces = enumerate_traces(space)
+    for grid in grid_batches(space):
+        batch = grid.batch
+        oracle, classical = _direct_oracle(batch), _classical_reference(batch)
+        values = [(core, batch.sat(core), batch.twin.sat(core), classical.value(core),
+                   oracle.sat(f) if direct else None, oracle.total.sat(f) if direct else None)
+                  for f, core, direct in formulas]
+        for lane in range(grid.size):
+            trace = next(traces)
+            assert grid.trace(lane) == trace
+            forget()
+            total = total_of(trace)
+            for core, here, there, mdl, direct_here, direct_there in values:
+                for k in range(trace.length):
+                    want = (naive_satisfies(trace, k, core, "here"),
+                            naive_satisfies(trace, k, core, "there"))
+                    assert (here[k] >> lane & 1, there[k] >> lane & 1) == want, (core, trace, k)
+                    assert mdl[k] >> lane & 1 == naive_satisfies(total, k, core), (core, trace, k)
+                    if direct_here is not None:
+                        assert (direct_here[k] >> lane & 1,
+                                direct_there[k] >> lane & 1) == want, (core, trace, k)
+    assert next(traces, None) is None
+
+
+def test_chunks_hold_whole_time_grids_of_one_length(monkeypatch):
+    def chunks(space):
+        return [(g.batch.lam, len(g.batch.times), g.size) for g in grid_batches(space)]
+
+    assert chunks(SPACES["broken-total"]) == [
+        (2, 2, 32), (0, 1, 1), (2, 1, 16), (3, 2, 128), (2, 1, 16)]
+    assert len(chunks(SPACES["gaps-ht"])) == 3  # the oracle-agreement bounds
+    assert len(chunks(TraceBounds(frozenset("a"), 3, 3))) == 4  # criterion 3, |A|=1
+    monkeypatch.setattr(lanes, "LANE_LIMIT", 162)
+    assert chunks(SPACES["gaps-ht"]) == [(0, 1, 1), (1, 1, 9), (2, 2, 162), (2, 1, 81)]
+    monkeypatch.setattr(lanes, "LANE_LIMIT", 8)  # wider than a chunk: split by states
+    assert chunks(SPACES["broken-total"])[:3] == [(2, 1, 4)] * 3

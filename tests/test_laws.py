@@ -2,15 +2,18 @@ import random
 
 import pytest
 
-from mdel.formulas import Atom, Not, Star, STEP, Test, formula_path
+from mdel.formulas import Atom, Not, Star, STEP, Test, compile_path, formula_path
+from mdel.lanes import grid_batches, lane_rows
 from mdel.laws import (
     LawReport, SUITES, agreement_scan, bkt_fragment_formulas,
     check_release_naive, check_release_table, em_collapse_scan, interval_grid,
     invert_past_scan, random_formula, random_theory,
-    relation_scan, run_suite, star_properties, tau_independence_scan,
+    relation_scan, run_suite, tau_independence_scan,
 )
 from mdel.parser import parse_formula
-from mdel.traces import TraceBounds
+from mdel.traces import TraceBounds, trace_to_dict
+
+from naive_ref import naive_closure
 
 AB = frozenset({"a", "b"})
 SMALL = TraceBounds(AB, 2, 2)
@@ -45,6 +48,28 @@ def test_relation_scan_clean():
              Star(formula_path(a)))
     out = relation_scan(paths, SMALL)
     assert out.clean and out.checks > 0
+
+
+def star_properties(paths, bounds):
+    """The first lane (trace document and path) where star is not the least
+    reflexive-transitive relation containing its body, or None."""
+    paths = [(rho, Star(rho)) for rho in map(compile_path, paths)]
+    for grid in grid_batches(bounds):
+        lam = grid.batch.lam
+        values = [(grid.batch.rel(rho), grid.batch.rel(star)) for rho, star in paths]
+        for lane in range(grid.size):
+            for (rho, _), (base_rel, star_rel) in zip(paths, values):
+                base, star = lane_rows(base_rel, lane), lane_rows(star_rel, lane)
+                reflexive = all(star[k] >> k & 1 for k in range(lam))
+                contains = all(not (b & ~s) for b, s in zip(base, star))
+                # every position reachable from k reaches nothing beyond star[k]
+                transitive = all(not (star[j] & ~star[k]) for k in range(lam)
+                                 for j in range(lam) if star[k] >> j & 1)
+                # least: recompute a closure independently and compare
+                if not (reflexive and contains and transitive
+                        and naive_closure(base, lam) == star):
+                    return trace_to_dict(grid.trace(lane)), rho
+    return None
 
 
 def test_star_is_least_reflexive_transitive_closure():
@@ -87,6 +112,47 @@ def test_tau_independence():
                 for _ in range(20)]
     out = tau_independence_scan(formulas, rng, TraceBounds(AB, 3, 3), samples=200)
     assert out.clean
+
+
+def test_tau_independence_checks_nothing_without_a_position():
+    # a space of lambda <= 0 holds only the empty trace: no sample to draw
+    formulas = [parse_formula("ev a")]
+    out = tau_independence_scan(formulas, random.Random(1), TraceBounds(AB, 0, 3), samples=50)
+    assert (out.traces, out.checks, out.clean) == (0, 0, True)
+    [report] = run_suite("untimed-independence", TraceBounds(AB, 0, 2), samples=20)
+    assert (report.verdict, report.checked) == ("pass", 0)
+
+
+def test_tau_independence_counterexample_matches_per_trace_views(monkeypatch):
+    # an engine made to depend on tau: the two-lane batch must report the
+    # difference that two one-trace views of the sample show, at the first
+    # differing position, here world first
+    from mdel.formulas import Diamond, compile_to_core
+    from mdel.lanes import LaneBatch
+    from mdel.semantics import HERE, THERE, Evaluator
+    from mdel.traces import load_trace
+
+    correct = LaneBatch._sat_compute
+
+    def faulty(self, f):
+        value = correct(self, f)
+        if type(f) is Diamond:  # flip position 0 where the last stamp is odd
+            flip = sum(lanes for tau, lanes in self.times if tau and tau[-1] % 2)
+            value = [value[0] ^ flip, *value[1:]]
+        return value
+
+    monkeypatch.setattr(LaneBatch, "_sat_compute", faulty)
+    f = parse_formula("ev (a | b)")
+    out = tau_independence_scan([f], random.Random(4), TraceBounds(AB, 3, 3), samples=50)
+    [cex] = out.agreement_violations
+    m1 = load_trace(cex["trace"])
+    m2 = load_trace({**cex["trace"], "tau": cex["other_tau"]})
+    ev1, ev2 = Evaluator(m1), Evaluator(m2)
+    core = compile_to_core(f)
+    diffs = [ev1.sat_mask(core, w) ^ ev2.sat_mask(core, w) for w in (HERE, THERE)]
+    first = next(d for d in diffs if d)
+    assert cex["position"] == (first & -first).bit_length() - 1
+    assert m1.tau[-1] % 2 != m2.tau[-1] % 2
 
 
 def test_invert_past_scan():

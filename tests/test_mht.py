@@ -26,8 +26,6 @@ from mdel.parser import parse_formula
 from mdel.semantics import HERE, THERE, Evaluator
 from mdel.traces import TraceBounds, enumerate_traces, trace_to_dict
 
-import naive_ref
-
 
 def _metric_formulas(atoms, seed, count):
     """Every metric operator once over random intervals (past and negative
@@ -47,33 +45,6 @@ def _metric_formulas(atoms, seed, count):
     return out
 
 
-@pytest.fixture
-def naive(monkeypatch):
-    """naive_ref's literal clauses behind a memo, cleared for each trace.
-
-    The reference rebuilds relations and re-evaluates subformulas on every
-    call, which is exponential in modal nesting; the memo only reuses its
-    own results."""
-    satisfies, relation = naive_ref.naive_satisfies, naive_ref.naive_relation
-    memo: dict = {}
-
-    def memo_satisfies(m, k, f, world="here"):
-        key = (m, k, id(f), world)
-        if key not in memo:
-            memo[key] = satisfies(m, k, f, world)
-        return memo[key]
-
-    def memo_relation(rho, m):
-        key = (m, id(rho))
-        if key not in memo:
-            memo[key] = relation(rho, m)
-        return memo[key]
-
-    monkeypatch.setattr(naive_ref, "naive_satisfies", memo_satisfies)
-    monkeypatch.setattr(naive_ref, "naive_relation", memo_relation)
-    return memo_satisfies, memo.clear
-
-
 @pytest.mark.parametrize("limit", [lanes.LANE_LIMIT, 8])
 @pytest.mark.parametrize("alphabet, lambda_max, max_gap, seed, count", [
     ("a", 3, 3, 1, 16), ("ab", 2, 2, 2, 16), ("ab", 3, 1, 3, 4)])
@@ -91,7 +62,7 @@ def test_batched_oracle_matches_naive_reference(monkeypatch, naive, limit, alpha
         values = [(oracle.sat(f), oracle.total.sat(f)) for f in formulas]
         for lane in range(grid.size):
             trace = next(traces)
-            assert grid.batch.tau == trace.tau
+            assert grid.trace(lane) == trace
             forget()
             for f, core, (here, there) in zip(formulas, cores, values):
                 for k in range(trace.length):

@@ -172,7 +172,7 @@ def test_classical_grid_evaluator_matches_naive_reference(space, monkeypatch):
         lanes_seen = 0
         for grid in grid_batches(space):
             twin = grid.batch.twin
-            ev = ClassicalEvaluator(twin.tau, twin.columns, twin.full)
+            ev = ClassicalEvaluator(twin.times, twin.columns, twin.full)
             for lane in range(grid.size):
                 m = total_of(grid.trace(lane))
                 if (m.tau, m.there) not in want:
