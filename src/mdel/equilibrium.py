@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from .formulas import Theory, compile_to_core
-from .lanes import LaneBatch, grid_batches, iter_lanes, trace_columns
+from .lanes import LaneBatch, grid_batches, iter_lanes, trace_batch
 from .traces import Space, TimedHTTrace, trace_to_dict
 
 
@@ -60,10 +60,7 @@ def is_model(m: TimedHTTrace, theory: Theory) -> bool:
 
     The empty trace has no position 0, so it models only the empty theory.
     """
-    times = ((m.tau, 1),)
-    twin = None if m.is_total else LaneBatch(times, trace_columns(m.there), 1)
-    batch = LaneBatch(times, trace_columns(m.here), 1, twin=twin)
-    return bool(batch.models(_compile_theory(theory, m.alphabet)))
+    return bool(trace_batch(m).models(_compile_theory(theory, m.alphabet)))
 
 
 def _here_candidates(occurrences):
@@ -131,7 +128,7 @@ def is_equilibrium(t: TimedHTTrace, theory: Theory) -> EquilibriumVerdict:
     if not t.is_total:
         raise ValueError("equilibrium checking is defined on total traces only")
     compiled = _compile_theory(theory, t.alphabet)
-    total = LaneBatch(((t.tau, 1),), trace_columns(t.there), 1)
+    total = trace_batch(t)
     if not total.models(compiled):
         return EquilibriumVerdict("not-model", None, 0)
     [(_, witnesses, removed)] = _minimality(total, compiled, 1)

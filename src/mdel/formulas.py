@@ -5,11 +5,17 @@ built from the single step constant, tests, choice, sequence, star and
 converse.  Every other connective (Boolean, endpoint constants, the metric
 temporal operators and timed release/trigger) is a derived surface form that
 :func:`compile_to_core` expands away.
+
+:data:`CHILDREN` lists each node class's children; :func:`walk` and
+``_rebuild``, and through them every structural traversal, read only that
+table.  :data:`CONSTANT_NAMES`, :data:`UNARY_NAMES` and :data:`BINARY_NAMES`
+are the one spelling of each operator: the printer writes them and the
+parser derives its keywords from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Iterator
 
 from .intervals import Interval, UNTIMED
@@ -221,55 +227,44 @@ class Trigger(Formula):
 BOT = Bot()
 TOP = Top()
 
-UNARY_METRIC = (Next, WNext, Prev, WPrev, Eventually, Always, EvPast, AlwPast)
-BINARY_METRIC = (Until, Since, Release, Trigger)
+# The children of each node class: its Formula and PathExpr fields, in field
+# order (``name`` and ``interval`` are data).
+CHILDREN = {
+    cls: tuple(f.name for f in fields(cls) if f.type in ("Formula", "PathExpr"))
+    for base in (PathExpr, Formula) for cls in base.__subclasses__()
+}
+
+# The DSL spelling of each constant and metric operator.
+CONSTANT_NAMES = {Bot: "bot", Top: "top", Final: "final", Initial: "initial"}
+UNARY_NAMES = {Next: "next", WNext: "wnext", Prev: "prev", WPrev: "wprev",
+               Eventually: "ev", Always: "alw", EvPast: "evp", AlwPast: "alwp"}
+BINARY_NAMES = {Until: "until", Since: "since", Release: "release", Trigger: "trigger"}
+
+UNARY_METRIC = tuple(UNARY_NAMES)
+BINARY_METRIC = tuple(BINARY_NAMES)
 PAST_OPS = (Prev, WPrev, EvPast, AlwPast, Since, Trigger)
+_CORE = (Atom, Bot, Diamond, Box)
+
+
+def walk(node) -> Iterator[Formula]:
+    """Yield every formula node, descending through paths and their tests."""
+    if isinstance(node, Formula):
+        yield node
+    for name in CHILDREN[type(node)]:
+        yield from walk(getattr(node, name))
+
+
+def _rebuild(node, fn):
+    """The same node with every child mapped by fn."""
+    names = CHILDREN[type(node)]
+    if not names:
+        return node
+    return replace(node, **{name: fn(getattr(node, name)) for name in names})
 
 
 def is_core(f: Formula) -> bool:
     """True when f (including formulas nested in path tests) is core."""
-    t = type(f)
-    if t is Atom or t is Bot:
-        return True
-    if t is Diamond or t is Box:
-        return _path_is_core(f.path) and is_core(f.body)
-    return False
-
-
-def _path_is_core(rho: PathExpr) -> bool:
-    t = type(rho)
-    if t is Step:
-        return True
-    if t is Test:
-        return is_core(rho.body)
-    if t in (Choice, Seq):
-        return _path_is_core(rho.left) and _path_is_core(rho.right)
-    return _path_is_core(rho.body)
-
-
-def walk(f: Formula) -> Iterator[Formula]:
-    """Yield every formula node, descending into path tests."""
-    yield f
-    t = type(f)
-    if t in (Not, Next, WNext, Prev, WPrev, Eventually, Always, EvPast, AlwPast):
-        yield from walk(f.body)
-    elif t in (And, Or, Implies, Until, Since, Release, Trigger):
-        yield from walk(f.left)
-        yield from walk(f.right)
-    elif t in (Diamond, Box):
-        yield from _walk_path(f.path)
-        yield from walk(f.body)
-
-
-def _walk_path(rho: PathExpr) -> Iterator[Formula]:
-    t = type(rho)
-    if t is Test:
-        yield from walk(rho.body)
-    elif t in (Choice, Seq):
-        yield from _walk_path(rho.left)
-        yield from _walk_path(rho.right)
-    elif t in (Star, Converse):
-        yield from _walk_path(rho.body)
+    return all(type(g) in _CORE for g in walk(f))
 
 
 def atoms_of(f: Formula) -> frozenset:
@@ -283,11 +278,7 @@ def is_metric(f: Formula) -> bool:
 
 def is_interval_free(f: Formula) -> bool:
     """True when every interval in f is the default (-w..w)."""
-    for g in walk(f):
-        iv = getattr(g, "interval", None)
-        if iv is not None and not iv.is_untimed:
-            return False
-    return True
+    return all(getattr(g, "interval", UNTIMED).is_untimed for g in walk(f))
 
 
 @dataclass(frozen=True)
@@ -370,20 +361,13 @@ def compile_path(rho: PathExpr) -> PathExpr:
 
 
 def _compile_path(rho: PathExpr) -> PathExpr:
-    t = type(rho)
-    if t is Step:
-        return rho
-    if t is Test:
-        return Test(compile_to_core(rho.body))
-    if t is Choice:
-        return Choice(compile_path(rho.left), compile_path(rho.right))
-    if t is Seq:
-        return Seq(compile_path(rho.left), compile_path(rho.right))
-    if t is Star:
-        return Star(compile_path(rho.body))
-    if t is Converse:
-        return Converse(compile_path(rho.body))
-    raise TypeError(f"not a path expression: {rho!r}")
+    if not isinstance(rho, PathExpr):
+        raise TypeError(f"not a path expression: {rho!r}")
+    return _rebuild(rho, _compile_node)
+
+
+def _compile_node(node):
+    return compile_to_core(node) if isinstance(node, Formula) else compile_path(node)
 
 
 def compile_to_core(f: Formula) -> Formula:
@@ -471,48 +455,14 @@ def invert_past(f: Formula) -> Formula:
         return Diamond(Converse(Star(STEP)), f.interval.invert(), invert_past(f.body))
     if t in PAST_OPS:
         raise ValueError(f"{t.__name__} is outside the past-eventually fragment")
-    if t in (Atom, Bot, Top, Final, Initial):
-        return f
-    if t is Not:
-        return Not(invert_past(f.body))
-    if t in (And, Or, Implies):
-        return t(invert_past(f.left), invert_past(f.right))
-    if t in (Next, WNext, Eventually, Always):
-        return t(f.interval, invert_past(f.body))
-    if t in (Until, Release):
-        return t(f.interval, invert_past(f.left), invert_past(f.right))
-    if t is Diamond or t is Box:
-        return t(_invert_past_path(f.path), f.interval, invert_past(f.body))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _invert_past_path(rho: PathExpr) -> PathExpr:
-    t = type(rho)
-    if t is Step:
-        return rho
-    if t is Test:
-        return Test(invert_past(rho.body))
-    if t in (Choice, Seq):
-        return t(_invert_past_path(rho.left), _invert_past_path(rho.right))
-    return t(_invert_past_path(rho.body))
+    if t not in CHILDREN:
+        raise TypeError(f"not a formula: {f!r}")
+    return _rebuild(f, invert_past)
 
 
 # -- pretty printing -----------------------------------------------------------
 
 _P_IMP, _P_OR, _P_AND, _P_TMP, _P_UN = range(5)
-
-_UNARY_NAMES = {
-    Next: "next",
-    WNext: "wnext",
-    Prev: "prev",
-    WPrev: "wprev",
-    Eventually: "ev",
-    Always: "alw",
-    EvPast: "evp",
-    AlwPast: "alwp",
-}
-
-_BINARY_NAMES = {Until: "until", Since: "since", Release: "release", Trigger: "trigger"}
 
 
 def _ival(iv: Interval) -> str:
@@ -527,14 +477,8 @@ def _fmt(f: Formula, ctx: int) -> str:
     t = type(f)
     if t is Atom:
         return f.name
-    if t is Bot:
-        return "bot"
-    if t is Top:
-        return "top"
-    if t is Final:
-        return "final"
-    if t is Initial:
-        return "initial"
+    if t in CONSTANT_NAMES:
+        return CONSTANT_NAMES[t]
     if t is Not:
         return _wrap("!" + _fmt(f.body, _P_UN), _P_UN, ctx)
     if t is And:
@@ -546,18 +490,16 @@ def _fmt(f: Formula, ctx: int) -> str:
     if t is Implies:
         text = f"{_fmt(f.left, _P_IMP + 1)} -> {_fmt(f.right, _P_IMP)}"
         return _wrap(text, _P_IMP, ctx)
-    if t in _BINARY_NAMES:
-        op = _BINARY_NAMES[t] + _ival(f.interval)
+    if t in BINARY_NAMES:
+        op = BINARY_NAMES[t] + _ival(f.interval)
         text = f"{_fmt(f.left, _P_TMP + 1)} {op} {_fmt(f.right, _P_TMP)}"
         return _wrap(text, _P_TMP, ctx)
-    if t in _UNARY_NAMES:
-        text = f"{_UNARY_NAMES[t]}{_ival(f.interval)} {_fmt(f.body, _P_UN)}"
+    if t in UNARY_NAMES:
+        text = f"{UNARY_NAMES[t]}{_ival(f.interval)} {_fmt(f.body, _P_UN)}"
         return _wrap(text, _P_UN, ctx)
-    if t is Diamond:
-        text = f"<{print_path(f.path)}>{_ival(f.interval)} {_fmt(f.body, _P_UN)}"
-        return _wrap(text, _P_UN, ctx)
-    if t is Box:
-        text = f"[{print_path(f.path)}]{_ival(f.interval)} {_fmt(f.body, _P_UN)}"
+    if t is Diamond or t is Box:
+        left, right = "<>" if t is Diamond else "[]"
+        text = f"{left}{print_path(f.path)}{right}{_ival(f.interval)} {_fmt(f.body, _P_UN)}"
         return _wrap(text, _P_UN, ctx)
     raise TypeError(f"not a formula: {f!r}")
 

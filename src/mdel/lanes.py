@@ -273,6 +273,15 @@ def trace_columns(states: Sequence[frozenset]) -> dict:
     return columns
 
 
+def trace_batch(trace: TimedHTTrace) -> LaneBatch:
+    """The one-lane batch of a trace; its twin is the batch of the there states."""
+    times = ((trace.tau, 1),)
+    total = LaneBatch(times, trace_columns(trace.there), 1)
+    if trace.is_total:
+        return total
+    return LaneBatch(times, trace_columns(trace.here), 1, twin=total, shared=total.shared)
+
+
 def grid_columns(states: Sequence[frozenset], prefix: tuple, suffix: int,
                  blocks: int = 1) -> tuple:
     """``(columns, full)`` of one chunk; ``states`` lists the state of each index.

@@ -434,7 +434,7 @@ def boolean_scan(argument_pairs: Sequence[Tuple[Formula, Formula]],
             # a failure of top is recorded, but neither counted nor final
             checks.append(_Check(out.agreement_violations, 0,
                                  lanes_of(full ^ x for x in batch.sat(top_core)),
-                                 {"formula": "top"}, halts=False))
+                                 {"formula": pretty_print(TOP)}, halts=False))
             for l, r, cores in compiled:
                 lh, rh, *got = (batch.sat(c) for c in cores)
                 lt, rt = (batch.twin.sat(c) for c in cores[:2])

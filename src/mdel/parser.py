@@ -19,29 +19,18 @@ from typing import Iterable, Optional
 from .intervals import NEG_OMEGA, OMEGA, UNTIMED, Interval, IntervalError
 from . import formulas as F
 
-KEYWORDS = frozenset(
-    """bot top final initial next wnext prev wprev ev alw evp alwp
-       until since release trigger step box diamond w""".split()
-)
+_CONSTANTS = {name: cls() for cls, name in F.CONSTANT_NAMES.items()}
+_UNARY_OPS = {name: cls for cls, name in F.UNARY_NAMES.items()}
+_BINARY_OPS = {name: cls for cls, name in F.BINARY_NAMES.items()}
+_MODAL_CALLS = {"box": F.Box, "diamond": F.Diamond}
+_STEP = str(F.STEP)
 
-_UNARY_OPS = {
-    "next": F.Next,
-    "wnext": F.WNext,
-    "prev": F.Prev,
-    "wprev": F.WPrev,
-    "ev": F.Eventually,
-    "alw": F.Always,
-    "evp": F.EvPast,
-    "alwp": F.AlwPast,
-}
+# ``w`` is omega in an interval bound
+KEYWORDS = frozenset([*_CONSTANTS, *_UNARY_OPS, *_BINARY_OPS, *_MODAL_CALLS, _STEP, "w"])
 
 # Each operand of an operator, each bracketed or parenthesized part and each
 # further operand of a chain such as ``a & b & c`` opens one more level.
 MAX_NESTING = 100
-
-_BINARY_OPS = {"until": F.Until, "since": F.Since, "release": F.Release, "trigger": F.Trigger}
-
-_CONSTANTS = {"bot": F.BOT, "top": F.TOP, "final": F.Final(), "initial": F.Initial()}
 
 _NAME = r"[a-z][a-zA-Z0-9_]*"
 
@@ -241,7 +230,7 @@ class _Parser:
             if val in _CONSTANTS:
                 self.take()
                 return _CONSTANTS[val]
-            if val in ("box", "diamond"):
+            if val in _MODAL_CALLS:
                 return self.parse_modal_call()
             if val in KEYWORDS:
                 raise self.error(f"{val!r} is a reserved keyword")
@@ -265,8 +254,7 @@ class _Parser:
         self.expect(",")
         body = self.nested(self.parse_formula)
         self.expect(")")
-        ctor = F.Diamond if name == "diamond" else F.Box
-        return ctor(path, iv, body)
+        return _MODAL_CALLS[name](path, iv, body)
 
     # -- path expressions --------------------------------------------------------
 
@@ -288,7 +276,7 @@ class _Parser:
 
     def parse_path_atom(self) -> F.PathExpr:
         kind, val, _ = self.peek()
-        if val == "step":
+        if val == _STEP:
             self.take()
             return F.STEP
         # a formula here is either a test (trailing '?') or path sugar (f? ; step)

@@ -33,9 +33,9 @@ from .formulas import (
 )
 from .intervals import Interval
 from .lanes import (
-    LaneBatch, grid_batches, iter_lanes, lane_mask, lane_rows, lanes_of, low_bit, trace_columns,
+    LaneBatch, grid_batches, iter_lanes, lane_mask, lane_rows, lanes_of, low_bit, trace_batch,
 )
-from .traces import TimedHTTrace, TraceBounds, total_of
+from .traces import TimedHTTrace, TraceBounds
 
 
 class World(enum.Enum):
@@ -63,41 +63,34 @@ class AccessRelation:
 class Evaluator:
     """Satisfaction sets for one trace.
 
-    ``sat_mask`` and ``rel_rows`` read a one-lane :class:`LaneBatch` built on
-    first use; the there world is the twin view of the collapsed total trace,
-    and the two views share their lane-independent tables.  ``mdl_sat_mask``
-    and ``mdl_rel_rows`` read a one-lane :class:`ClassicalEvaluator` of the
-    here states, which on a total trace are its only states.
+    ``sat_mask`` and ``rel_rows`` read the trace's one-lane batch
+    (:func:`mdel.lanes.trace_batch`), built on first use, in the here world
+    and its twin in the there world.  ``mdl_sat_mask`` and ``mdl_rel_rows``
+    read a one-lane :class:`ClassicalEvaluator` of the here states, which on
+    a total trace are its only states.
     """
 
     def __init__(self, trace: TimedHTTrace):
         self.trace = trace
-        self.lam = trace.length
-        self.full = (1 << self.lam) - 1
-        self.twin = self if trace.is_total else Evaluator(total_of(trace))
-        self._batch: Optional[LaneBatch] = None
 
-    def _lanes(self) -> LaneBatch:
-        if self._batch is None:
-            twin = None if self.twin is self else self.twin._lanes()
-            self._batch = LaneBatch(((self.trace.tau, 1),), trace_columns(self.trace.here), 1,
-                                    twin=twin, shared=None if twin is None else twin.shared)
-        return self._batch
+    @cached_property
+    def _batch(self) -> LaneBatch:
+        return trace_batch(self.trace)
+
+    def _lanes(self, world: World) -> LaneBatch:
+        return self._batch if world is HERE else self._batch.twin
 
     def rel_rows(self, rho: PathExpr, world: World = HERE) -> Tuple[int, ...]:
-        if world is THERE:
-            return self.twin.rel_rows(rho, HERE)
-        return lane_rows(self._lanes().rel(rho), 0)
+        return lane_rows(self._lanes(world).rel(rho), 0)
 
     def sat_mask(self, f: Formula, world: World = HERE) -> int:
         """Bitmask of positions where the core formula holds in the world."""
-        if world is THERE:
-            return self.twin.sat_mask(f, HERE)
-        return lane_mask(self._lanes().sat(f), 0)
+        return lane_mask(self._lanes(world).sat(f), 0)
 
     @cached_property
     def _classical(self) -> "ClassicalEvaluator":
-        return ClassicalEvaluator(((self.trace.tau, 1),), trace_columns(self.trace.here), 1)
+        batch = self._batch
+        return ClassicalEvaluator(batch.times, batch.columns, batch.full)
 
     def mdl_sat_mask(self, f: Formula) -> int:
         return lane_mask(self._classical.value(f), 0)

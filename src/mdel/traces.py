@@ -96,6 +96,8 @@ def load_trace(doc) -> TimedHTTrace:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise TraceError(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise TraceError("trace document nested too deeply") from exc
     if not isinstance(doc, dict):
         raise TraceError("trace document must be a JSON object")
     for key in ("alphabet", "lambda", "tau", "there"):

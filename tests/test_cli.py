@@ -162,6 +162,13 @@ def test_check_deep_nesting_exit_two(files, capsys):
     assert "nested deeper" in err and "Traceback" not in err
 
 
+def test_check_deeply_nested_trace_is_a_trace_error(files, capsys):
+    trace = files("deep.json", "[" * 100_000)
+    formula = files("f.mdel", "a\n")
+    code, out, err = run(capsys, "check", formula, trace)
+    assert (code, out, err) == (2, "", "error: trace document nested too deeply\n")
+
+
 def test_recursion_error_exit_two(files, capsys, monkeypatch):
     import mdel.cli
 

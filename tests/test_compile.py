@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from mdel import formulas
 from mdel.formulas import (
-    Always, AlwPast, And, Atom, BOT, Box, Choice, Converse, Diamond, EvPast,
-    Eventually, Implies, Not, Or, Release, Since, Star, STEP, Seq, Test,
-    Top, Trigger, Until, WNext, WPrev, compile_to_core,
-    invert_past, is_core, untimed_release, walk,
+    Always, AlwPast, And, Atom, BOT, Bot, Box, Choice, Converse, Diamond, EvPast,
+    Eventually, Final, Implies, Initial, Next, Not, Or, Prev, Release, Since, Star,
+    STEP, Seq, Step, Test, Top, Trigger, Until, WNext, WPrev, atoms_of, compile_to_core,
+    invert_past, is_core, is_interval_free, untimed_release, walk,
 )
 from mdel.intervals import Interval, UNTIMED
 from mdel.laws import random_formula
@@ -154,3 +154,49 @@ def test_invert_past_rejects_other_past_operators():
         invert_past(Trigger(UNTIMED, A, B))
     with pytest.raises(ValueError):
         invert_past(AlwPast(UNTIMED, A))
+
+
+def test_children_are_the_formula_and_path_fields_in_order():
+    # name and interval are data; every other field is a child
+    assert formulas.CHILDREN == {
+        Step: (), Test: ("body",), Choice: ("left", "right"), Seq: ("left", "right"),
+        Star: ("body",), Converse: ("body",),
+        Atom: (), Bot: (), Diamond: ("path", "body"), Box: ("path", "body"),
+        Top: (), Final: (), Initial: (), Not: ("body",),
+        And: ("left", "right"), Or: ("left", "right"), Implies: ("left", "right"),
+        Next: ("body",), WNext: ("body",), Prev: ("body",), WPrev: ("body",),
+        Eventually: ("body",), Always: ("body",), EvPast: ("body",), AlwPast: ("body",),
+        Until: ("left", "right"), Since: ("left", "right"),
+        Release: ("left", "right"), Trigger: ("left", "right"),
+    }
+
+
+# each formula below hides its only interesting subformula in a path test
+
+
+def test_walk_reaches_atoms_in_path_tests():
+    f = Diamond(Test(Atom("q")), UNTIMED, Top())
+    assert atoms_of(f) == {"q"}
+    assert [type(g) for g in walk(Diamond(Seq(Star(Test(Not(A))), STEP), UNTIMED, B))] == [
+        Diamond, Not, Atom, Atom]
+
+
+def test_interval_in_a_path_test_is_seen():
+    f = Diamond(Test(Eventually(Interval.closed_closed(1, 2), A)), UNTIMED, A)
+    assert not is_interval_free(f)
+
+
+def test_derived_operator_in_a_path_test_is_not_core():
+    assert not is_core(Diamond(Test(Not(A)), UNTIMED, A))
+    assert is_core(compile_to_core(Diamond(Test(Not(A)), UNTIMED, A)))
+
+
+def test_invert_past_rewrites_inside_path_tests():
+    iv = Interval.closed_closed(2, 9)
+    f = Box(Choice(STEP, Test(EvPast(iv, A))), UNTIMED, B)
+    inverted = Diamond(Converse(Star(STEP)), iv.invert(), A)
+    assert invert_past(f) == Box(Choice(STEP, Test(inverted)), UNTIMED, B)
+    with pytest.raises(ValueError):
+        invert_past(Diamond(Star(Test(AlwPast(UNTIMED, A))), UNTIMED, B))
+    with pytest.raises(TypeError):
+        invert_past("a")

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdel.formulas import (
-    Atom, BOT, Box, Diamond, Eventually, Not, Release, Seq, Star,
-    STEP, Test, Until, compile_to_core, formula_path, pretty_print,
+    Atom, BINARY_NAMES, BOT, Box, Diamond, Eventually, Not, Release, Seq, Star,
+    STEP, Test, Theory, Top, UNARY_NAMES, Until, compile_to_core, formula_path, pretty_print,
+    walk,
 )
 from mdel.intervals import Interval, UNTIMED
 from mdel.laws import random_formula
-from mdel.parser import MAX_NESTING, ParseError, parse_formula, parse_path, parse_theory
+from mdel.parser import (
+    KEYWORDS, MAX_NESTING, ParseError, is_atom_name, parse_formula, parse_path, parse_theory,
+)
 
 AB = frozenset({"a", "b", "h"})
 
@@ -76,11 +79,35 @@ def test_closed_interval_at_omega_rejected():
         parse_formula("alw [-w..3) a", AB)
 
 
-def test_reserved_words_are_not_atoms():
-    with pytest.raises(ParseError):
-        parse_formula("w", AB | {"w"})
-    with pytest.raises(ParseError):
-        parse_formula("a & until", AB)
+RESERVED = """bot top final initial next wnext prev wprev ev alw evp alwp
+              until since release trigger step box diamond w""".split()
+
+
+def test_keywords_are_the_reserved_words():
+    assert KEYWORDS == frozenset(RESERVED) and len(RESERVED) == 20
+
+
+@pytest.mark.parametrize("word", RESERVED)
+def test_reserved_words_are_not_atoms(word):
+    # a constant parses as itself; any other keyword alone is a syntax error
+    assert not is_atom_name(word)
+    for text in (word, f"a & {word}"):
+        if word in ("bot", "top", "final", "initial"):
+            assert Atom(word) not in set(walk(parse_formula(text, AB | {word})))
+        else:
+            with pytest.raises(ParseError):
+                parse_formula(text, AB | {word})
+
+
+@pytest.mark.parametrize("op, name", [*UNARY_NAMES.items(), *BINARY_NAMES.items()],
+                         ids=[*UNARY_NAMES.values(), *BINARY_NAMES.values()])
+def test_each_operator_name_round_trips(op, name):
+    iv = Interval.closed_open(1, 4)
+    args = (Atom("a"),) if op in UNARY_NAMES else (Atom("a"), Atom("b"))
+    f = op(iv, *args)
+    assert pretty_print(f).split()[int(op in BINARY_NAMES)] == name + "[1..3]"
+    assert parse_formula(pretty_print(f), AB) == f
+    assert parse_formula(pretty_print(op(UNTIMED, *args)), AB) == op(UNTIMED, *args)
 
 
 def test_release_round_trips():
@@ -103,6 +130,8 @@ def test_parse_theory_lines_and_comments():
 def test_theory_rejects_foreign_atoms():
     with pytest.raises(ParseError):
         parse_theory("a & q", AB)
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        Theory((Diamond(Test(Atom("q")), UNTIMED, Top()),), {"a"})
 
 
 @pytest.mark.parametrize("nest", [
