@@ -114,7 +114,7 @@ def _minimality(total: LaneBatch, compiled, models: int) -> list:
         columns = {a: [x & ~sum(r & c for r, c in zip(ranks.get((i, a), ()), chosen))
                        for i, x in enumerate(col)]
                    for a, col in total.columns.items()}
-        here = LaneBatch(total.times, columns, total.full, twin=total, shared=total.shared)
+        here = LaneBatch(total.times, columns, total.full, twin=total)
         blocked = here.models(compiled, active)
         for n, live in groups.items():
             if live & blocked:

@@ -24,7 +24,7 @@ the equilibrium search) walks the grids of :func:`grid_batches`: it
 evaluates its formulas once per batch, finds the lanes that may fail a
 check by whole-batch bit operations, reads only those lanes' positions with
 :func:`lane_mask` / :func:`lane_rows`, and builds a lane's trace
-(:meth:`Grid.trace`) only for a per-trace oracle or a counterexample.
+(:meth:`Grid.trace`) only for a counterexample.
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ class LaneBatch:
     ``twin`` is the batch of the lanes' total there-components over the same
     lanes; a batch of total traces is its own twin.  ``shared`` caches what
     does not depend on the lanes' states (time windows, relations of
-    test-free paths) and may be shared between batches.
+    test-free paths) and may be shared between batches; a batch with a
+    twin shares the twin's by default.
     """
 
     def __init__(self, times: tuple, columns: dict, full: int,
@@ -93,7 +94,7 @@ class LaneBatch:
         self.columns = columns
         self.full = full
         self.twin = self if twin is None else twin
-        self.shared = {} if shared is None else shared
+        self.shared = ({} if twin is None else twin.shared) if shared is None else shared
         # the caches are keyed by node identity; pinning the nodes keeps an
         # id from being reused by a new node while its entry is live
         self._sat: dict = {}
@@ -279,7 +280,7 @@ def trace_batch(trace: TimedHTTrace) -> LaneBatch:
     total = LaneBatch(times, trace_columns(trace.there), 1)
     if trace.is_total:
         return total
-    return LaneBatch(times, trace_columns(trace.here), 1, twin=total, shared=total.shared)
+    return LaneBatch(times, trace_columns(trace.here), 1, twin=total)
 
 
 def grid_columns(states: Sequence[frozenset], prefix: tuple, suffix: int,

@@ -7,18 +7,18 @@ records.  Counterexamples carry a reloadable trace document.  Note that the
 expected outcome is a failure report exhibiting a counterexample.
 
 The exhaustive scans walk the grids of :func:`mdel.lanes.grid_batches`.
-Per lane batch they evaluate the compiled side once, and the direct metric
-oracle (:class:`mdel.mht.MhtEvaluator`) once over the same time blocks and
-atom columns; comparing whole batch values gives, per check, the mask of
-the lanes that may fail it.  Each scan lists a grid's checks in per-lane
-order and hands them to one walker (:func:`_walk`), which reads only those
-lanes, in enumeration order, counts the lanes between them in bulk, and
-stops where the scan says.  The classical reference
-(:class:`mdel.semantics.ClassicalEvaluator`) is evaluated once per grid on
-its there-world columns, and compared with the HT value on the total lanes
-(``Grid.total``) only.  A lane's trace is built only for a counterexample.
-Counts and first counterexamples are therefore those of a trace-by-trace
-loop.
+Per lane batch they evaluate the compiled side once, and each reference
+once, built from the batch alone: the direct metric oracle
+(``MhtEvaluator(batch)``, :mod:`mdel.mht`) in both worlds, and the
+classical evaluator (``ClassicalEvaluator(batch)``, :mod:`mdel.semantics`)
+on the batch's there world, compared with the HT value on the total lanes
+(``Grid.total``) only.  Comparing whole batch values gives, per check, the
+mask of the lanes that may fail it.  Each scan lists a grid's checks in
+per-lane order and hands them to one walker (:func:`_walk`), which reads
+only those lanes, in enumeration order, counts the lanes between them in
+bulk, and stops where the scan says.  A lane's trace is built only for a
+counterexample.  Counts and first counterexamples are therefore those of a
+trace-by-trace loop.
 """
 
 from __future__ import annotations
@@ -87,9 +87,9 @@ def _printed(value):
 # -- interval and operator grids -------------------------------------------------
 
 
-def interval_grid(values: Iterable[int], include_unbounded: bool = True) -> Tuple[Interval, ...]:
+def interval_grid(values: Iterable[int]) -> Tuple[Interval, ...]:
     """Every interval the four bracket shapes generate over the given bounds,
-    deduplicated by canonical form; optionally plus the half/fully unbounded ones."""
+    plus the half and fully unbounded ones, deduplicated by canonical form."""
     values = sorted(set(values))
     seen = {}
     shapes = (Interval.closed_closed, Interval.closed_open,
@@ -99,14 +99,13 @@ def interval_grid(values: Iterable[int], include_unbounded: bool = True) -> Tupl
             for shape in shapes:
                 iv = shape(m, n)
                 seen[(iv.lo, iv.hi)] = iv
-    if include_unbounded:
-        for m in values:
-            for iv in (Interval.closed_open(m, OMEGA), Interval.open_open(m, OMEGA)):
-                seen[(iv.lo, iv.hi)] = iv
-        for n in values:
-            for iv in (Interval.open_closed(NEG_OMEGA, n), Interval.open_open(NEG_OMEGA, n)):
-                seen[(iv.lo, iv.hi)] = iv
-        seen[(NEG_OMEGA, OMEGA)] = UNTIMED
+    for m in values:
+        for iv in (Interval.closed_open(m, OMEGA), Interval.open_open(m, OMEGA)):
+            seen[(iv.lo, iv.hi)] = iv
+    for n in values:
+        for iv in (Interval.open_closed(NEG_OMEGA, n), Interval.open_open(NEG_OMEGA, n)):
+            seen[(iv.lo, iv.hi)] = iv
+    seen[(NEG_OMEGA, OMEGA)] = UNTIMED
     return tuple(iv for _, iv in sorted(seen.items()))
 
 
@@ -153,9 +152,8 @@ def operator_space(atoms: Sequence[str],
 # -- seeded random generation ------------------------------------------------------
 
 
-def random_interval(rng: random.Random, past: bool = False,
-                    untimed_prob: float = 0.25) -> Interval:
-    if rng.random() < untimed_prob:
+def random_interval(rng: random.Random, past: bool = False) -> Interval:
+    if rng.random() < 0.25:
         return UNTIMED
     lo_pool = range(-3, 4) if past else range(0, 4)
     kind = rng.randrange(8)
@@ -331,20 +329,6 @@ def _count(out: ScanOutcome, per_lane: dict, start: int, stop: int) -> None:
     out.checks += sum(n * (scope & span).bit_count() for scope, n in per_lane.items())
 
 
-def _classical_reference(batch: LaneBatch) -> ClassicalEvaluator:
-    """The classical evaluator on a batch's time blocks and there-world columns;
-    on a total lane, these are the lane's own states."""
-    twin = batch.twin
-    return ClassicalEvaluator(twin.times, twin.columns, twin.full)
-
-
-def _direct_oracle(batch: LaneBatch) -> MhtEvaluator:
-    """The direct metric evaluator on a batch's time blocks and atom columns."""
-    twin = batch.twin
-    total = None if twin is batch else MhtEvaluator(twin.times, twin.columns, twin.full)
-    return MhtEvaluator(batch.times, batch.columns, batch.full, total)
-
-
 # -- combined agreement / persistence / totality scan ------------------------------
 
 
@@ -367,8 +351,8 @@ def agreement_scan(formulas: Sequence[Formula], bounds: TraceBounds,
         lam = batch.lam
         checks = []
         if lam:
-            oracle = _direct_oracle(batch) if check_agreement else None
-            classical, total = _classical_reference(batch), grid.total
+            oracle = MhtEvaluator(batch) if check_agreement else None
+            classical, total = ClassicalEvaluator(batch), grid.total
             for surface, core, metric in pairs:
                 here, there = batch.sat(core), batch.twin.sat(core)
                 fields = {"formula": surface}
@@ -395,7 +379,7 @@ def relation_scan(paths: Sequence[PathExpr], bounds: TraceBounds) -> ScanOutcome
     paths = [F.compile_path(rho) for rho in paths]
     for grid in grid_batches(bounds):
         batch = grid.batch
-        classical = _classical_reference(batch)
+        classical = ClassicalEvaluator(batch)
         checks = []
         for rho in paths:
             here, there = batch.rel(rho), batch.twin.rel(rho)
@@ -506,7 +490,7 @@ def check_equivalence_dual(lhs: Formula, rhs: Formula,
         if metric_l:
             checks.append(_value_check(
                 out.agreement_violations, 0,
-                [o ^ x for o, x in zip(_direct_oracle(batch).sat(lhs), lh)],
+                [o ^ x for o, x in zip(MhtEvaluator(batch).sat(lhs), lh)],
                 {"left": lhs, "note": "direct oracle disagrees with compiled form"}))
         if _walk(out, grid, checks):
             break
@@ -539,7 +523,7 @@ def check_release_table(bounds: TraceBounds, m_values: Sequence[int] = (1, 2, 3)
         lam = batch.lam
         if lam == 0:
             continue
-        oracle = _direct_oracle(batch)
+        oracle = MhtEvaluator(batch)
         # rows are independent: each stops at its first failing lane and case
         for row_id, cases in instances.items():
             out = rows[row_id]
@@ -641,7 +625,7 @@ def tau_independence_scan(formulas: Sequence[Formula], rng: random.Random,
         tau1, tau2 = grid(), grid()
         times = ((tau1, 1), (tau2, 2))
         twin = LaneBatch(times, both_lanes(there), 3)
-        batch = LaneBatch(times, both_lanes(here), 3, twin=twin, shared=twin.shared)
+        batch = LaneBatch(times, both_lanes(here), 3, twin=twin)
         f, core = compiled[rng.randrange(len(compiled))]
         out.traces += 1
         out.checks += 2 * lam
@@ -674,7 +658,7 @@ def invert_past_scan(formulas: Sequence[Formula], bounds: TraceBounds) -> ScanOu
         batch = grid.batch
         checks = []
         if batch.lam:
-            oracle = _direct_oracle(batch)
+            oracle = MhtEvaluator(batch)
             checks = [_value_check(out.agreement_violations, batch.lam,
                                    [x ^ y for x, y in zip(batch.sat(core), oracle.sat(f))],
                                    {"formula": f})

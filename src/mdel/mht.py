@@ -7,23 +7,22 @@ serves as an independent oracle for the compiled core semantics.  Boolean
 connectives follow the here-and-there readings: implication is checked in
 both worlds, negation is dissatisfaction in the collapsed total trace.
 
-It evaluates many traces of one length at once.  Its only inputs are the
-lanes' time stamps, as ``(tau, lanes)`` blocks (the time grid of each set
-of lanes), and their atom columns: ``columns[a][k]`` is the lane mask of
-the traces (lanes) with atom ``a`` at position ``k``, in the encoding of
-:func:`mdel.lanes.grid_columns` and ``trace_columns``.  A formula's value
-is a list of ``lambda`` lane masks, and every clause is its position loop
-with the Boolean operations applied to lane masks instead of truth values;
-an interval test is the lane mask ``window[k][i]`` of the lanes whose
+It evaluates the lanes of a :class:`~mdel.lanes.LaneBatch` (many traces of
+one length) at once, and reads only the batch's data: its ``(tau, lanes)``
+time blocks, its atom columns (``columns[a][k]`` is the lane mask of the
+lanes with atom ``a`` at position ``k``), ``full``, and its there-world
+``twin`` for the total evaluator.  A formula's value is a list of
+``lambda`` lane masks, and every clause is its position loop with the
+Boolean operations applied to lane masks instead of truth values; an
+interval test is the lane mask ``window[k][i]`` of the lanes whose
 tau(i) - tau(k) lies in the interval.  The clauses, the time windows and
-the memo are its own; it shares no evaluation code with the lane engine's
-:class:`~mdel.lanes.LaneBatch`.  :func:`mht_satisfies` is the one-lane view
-of a single trace.
+the memo are its own; it calls no evaluation code of the lane engine.
+:func:`mht_satisfies` is the view of a single trace's one-lane batch.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from .formulas import (
     Always, AlwPast, And, Atom, Bot, Eventually, EvPast, Final, Formula,
@@ -31,32 +30,30 @@ from .formulas import (
     Until, WNext, WPrev,
 )
 from .intervals import Interval
-from .lanes import trace_columns
+from .lanes import LaneBatch, trace_batch
 from .semantics import HERE, THERE, World, _check_position
 from .traces import TimedHTTrace
 
 
 class MhtEvaluator:
-    """Memoizing direct evaluator for the here world of lanes of one length.
+    """Memoizing direct evaluator for the here world of a lane batch.
 
-    ``times`` lists the ``(tau, lanes)`` blocks, ``full`` is the mask of all
-    lanes, and ``total`` the evaluator over the lanes' there-world columns
-    (their collapsed total traces); a grid of total traces is its own
-    ``total``.
+    ``total`` is the evaluator of the batch's twin, the lanes' collapsed
+    total traces; a batch of total traces is its own twin, and its
+    evaluator its own ``total``.
     """
 
-    def __init__(self, times: tuple, columns: dict, full: int,
-                 total: Optional["MhtEvaluator"] = None):
-        self.times = times
-        self.lam = len(times[0][0])
-        self.columns = columns
-        self.full = full
-        self.total = self if total is None else total
+    def __init__(self, batch: LaneBatch):
+        self.times = batch.times
+        self.lam = batch.lam
+        self.columns = batch.columns
+        self.full = batch.full
         # keyed by node identity; pinning the nodes keeps an id from being
         # reused by a new node while its entry is live
         self._memo: dict = {}
         self._pin: list = []
-        self._windows = {} if total is None else total._windows  # the same lanes
+        self.total = self if batch.twin is batch else MhtEvaluator(batch.twin)
+        self._windows = {} if self.total is self else self.total._windows  # the same lanes
 
     def window(self, iv: Interval) -> List[List[int]]:
         """``window[k][i]``: the lanes whose tau(i) - tau(k) lies in the interval."""
@@ -164,8 +161,5 @@ class MhtEvaluator:
 def mht_satisfies(m: TimedHTTrace, k: int, f: Formula, world: World = HERE) -> bool:
     """Direct metric satisfaction; f may use Boolean and metric operators only."""
     _check_position(m, k)
-    times = ((m.tau, 1),)
-    total = MhtEvaluator(times, trace_columns(m.there), 1)
-    ev = (total if world is THERE or m.is_total
-          else MhtEvaluator(times, trace_columns(m.here), 1, total))
-    return bool(ev.sat(f)[k])
+    ev = MhtEvaluator(trace_batch(m))
+    return bool((ev.total if world is THERE else ev).sat(f)[k])

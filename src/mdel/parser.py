@@ -138,7 +138,11 @@ class _Parser:
             negative = True
         kind, val, pos = self.take()
         if kind == "int":
-            return -int(val) if negative else int(val)
+            try:
+                value = int(val)
+            except ValueError as exc:  # more digits than int() converts
+                raise ParseError("interval bound has too many digits", pos) from exc
+            return -value if negative else value
         if val == "w":
             if lower and not negative:
                 raise ParseError("lower interval bound must be an integer or -w", pos)

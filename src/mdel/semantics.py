@@ -10,13 +10,13 @@ The HT semantics has one implementation, :class:`mdel.lanes.LaneBatch`.
 there-world twin is the batch of the collapsed total trace.  Bounded scans
 (``is_tautology_bounded`` here, the law suites in :mod:`mdel.laws`) evaluate
 whole grids of traces at once instead.  The classical single-world
-semantics has its own grid evaluator, :class:`ClassicalEvaluator`, built
-from a batch's ``(tau, lanes)`` time blocks and atom columns only: dense
-relations, Box as the dual of Diamond, star as a squaring fixpoint, and its
-own windows (dense matrices of lane masks) and memo.  It shares no
-evaluation code with the lane engine, so the totality law compares two
-independent computations; ``Evaluator.mdl_sat_mask`` / ``mdl_rel_rows`` and
-:func:`satisfies_mdl` are its one-lane views.
+semantics has its own evaluator, :class:`ClassicalEvaluator`, built from a
+lane batch's there world (its ``twin``), of which it reads the time blocks
+and atom columns only: dense relations, Box as the dual of Diamond, star
+as a squaring fixpoint, and its own windows (dense matrices of lane masks)
+and memo.  It calls no evaluation code of the lane engine, so the totality
+law compares two independent computations; ``Evaluator.mdl_sat_mask`` /
+``mdl_rel_rows`` and :func:`satisfies_mdl` are its one-lane views.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class Evaluator:
     ``sat_mask`` and ``rel_rows`` read the trace's one-lane batch
     (:func:`mdel.lanes.trace_batch`), built on first use, in the here world
     and its twin in the there world.  ``mdl_sat_mask`` and ``mdl_rel_rows``
-    read a one-lane :class:`ClassicalEvaluator` of the here states, which on
-    a total trace are its only states.
+    read the :class:`ClassicalEvaluator` of the same batch, which reads the
+    there states: on a total trace, its only states.
     """
 
     def __init__(self, trace: TimedHTTrace):
@@ -89,8 +89,7 @@ class Evaluator:
 
     @cached_property
     def _classical(self) -> "ClassicalEvaluator":
-        batch = self._batch
-        return ClassicalEvaluator(batch.times, batch.columns, batch.full)
+        return ClassicalEvaluator(self._batch)
 
     def mdl_sat_mask(self, f: Formula) -> int:
         return lane_mask(self._classical.value(f), 0)
@@ -100,26 +99,28 @@ class Evaluator:
 
 
 class ClassicalEvaluator:
-    """Classical (single-world) satisfaction for lanes of one length.
+    """Classical (single-world) satisfaction for the lanes of a batch.
 
-    Its inputs are the lanes' time stamps ``times`` (``(tau, lanes)``
-    blocks: the time grid of each set of lanes), their atom columns
-    (``columns[a][k]`` is the lane mask of the lanes with atom ``a`` at
-    position ``k``) and ``full``, the mask of all lanes.  A formula's value
-    is a list of ``lambda`` lane masks; a path's value is a dense
-    ``lambda x lambda`` list of lane masks (``rel[k][i]``: the lanes where
-    ``i`` is reachable from ``k``).  Box is the complement of Diamond of the
-    complement, and star is grown as the fixpoint of ``R | R;R``.  The time
-    windows (``window[k][i]``: the lanes whose tau(i) - tau(k) lies in the
-    interval) and the memo are its own: it shares no evaluation code with
-    the lane engine.
+    It reads the there world of a :class:`~mdel.lanes.LaneBatch`, its
+    ``twin``: the time stamps ``times`` (``(tau, lanes)`` blocks: the time
+    grid of each set of lanes), the atom columns (``columns[a][k]`` is the
+    lane mask of the lanes with atom ``a`` at position ``k``) and ``full``,
+    the mask of all lanes.  On a total lane those are the lane's own
+    states.  A formula's value is a list of ``lambda`` lane masks; a path's
+    value is a dense ``lambda x lambda`` list of lane masks (``rel[k][i]``:
+    the lanes where ``i`` is reachable from ``k``).  Box is the complement
+    of Diamond of the complement, and star is grown as the fixpoint of
+    ``R | R;R``.  The time windows (``window[k][i]``: the lanes whose
+    tau(i) - tau(k) lies in the interval) and the memo are its own: it
+    calls no evaluation code of the lane engine.
     """
 
-    def __init__(self, times: tuple, columns: dict, full: int):
-        self.times = times
-        self.lam = len(times[0][0])
-        self.columns = columns
-        self.full = full
+    def __init__(self, batch: LaneBatch):
+        there = batch.twin
+        self.times = there.times
+        self.lam = there.lam
+        self.columns = there.columns
+        self.full = there.full
         # keyed by node identity, with the nodes pinned (see MhtEvaluator)
         self._memo: dict = {}
         self._pin: list = []

@@ -98,6 +98,8 @@ def load_trace(doc) -> TimedHTTrace:
             raise TraceError(f"invalid JSON: {exc}") from exc
         except RecursionError as exc:
             raise TraceError("trace document nested too deeply") from exc
+        except ValueError as exc:  # an integer literal longer than int() converts
+            raise TraceError(f"trace document holds a number too long: {exc}") from exc
     if not isinstance(doc, dict):
         raise TraceError("trace document must be a JSON object")
     for key in ("alphabet", "lambda", "tau", "there"):

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import sys
 import tempfile
 
 import pytest
@@ -190,6 +191,21 @@ def test_check_rejects_non_integer_trace_fields(files, capsys, lam, tau):
     code, out, err = run(capsys, "check", formula, trace)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on integer string conversion")
+@pytest.mark.parametrize("formula, trace, message", [
+    ("a", TRACE_43.replace("[0, 1, 4]", "[0, 1, " + "1" * 5000 + "]"),
+     "error: trace document holds a number too long: "),
+    ("ev[1.." + "9" * 5000 + "] a", TRACE_43,
+     "error: interval bound has too many digits (at offset 6)\n"),
+], ids=["tau", "interval-bound"])
+def test_check_over_long_integer_literals_exit_two(files, capsys, formula, trace, message):
+    # past the interpreter's digit limit, a number is an input error with a place
+    code, out, err = run(capsys, "check", files("f.mdel", formula + "\n"), files("t.json", trace))
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
 
 
 @pytest.mark.parametrize("there", [["ab", ""], [{"a": 5}, []]])

@@ -10,7 +10,9 @@ from mdel.formulas import (
 )
 from mdel.intervals import UNTIMED, Interval
 from mdel.lanes import LaneBatch, grid_batches, grid_columns
-from mdel.laws import _classical_reference, _direct_oracle, random_formula
+from mdel.laws import random_formula
+from mdel.mht import MhtEvaluator
+from mdel.semantics import ClassicalEvaluator
 from mdel.traces import TimeGrids, TraceBounds, enumerate_traces, total_of
 
 STATES = [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
@@ -42,7 +44,7 @@ def test_scan_violations_come_in_enumeration_order(monkeypatch):
     # same number of traces, as a loop over enumerate_traces
     from mdel.laws import agreement_scan
     from mdel.parser import parse_formula
-    from mdel.semantics import ClassicalEvaluator, Evaluator
+    from mdel.semantics import Evaluator
     from mdel.traces import TraceBounds, enumerate_traces, trace_to_dict
 
     correct = ClassicalEvaluator._compute
@@ -114,7 +116,7 @@ def test_folded_grids_match_naive_reference(space, limit, monkeypatch, naive):
     traces = enumerate_traces(space)
     for grid in grid_batches(space):
         batch = grid.batch
-        oracle, classical = _direct_oracle(batch), _classical_reference(batch)
+        oracle, classical = MhtEvaluator(batch), ClassicalEvaluator(batch)
         values = [(core, batch.sat(core), batch.twin.sat(core), classical.value(core),
                    oracle.sat(f) if direct else None, oracle.total.sat(f) if direct else None)
                   for f, core, direct in formulas]
@@ -133,6 +135,33 @@ def test_folded_grids_match_naive_reference(space, limit, monkeypatch, naive):
                         assert (direct_here[k] >> lane & 1,
                                 direct_there[k] >> lane & 1) == want, (core, trace, k)
     assert next(traces, None) is None
+
+
+def test_references_never_call_the_lane_engine(monkeypatch):
+    # both references are built from a batch alone: with the engine's
+    # satisfaction, relations and windows made to raise, they must still
+    # give the values of an unpatched run
+    space = SPACES["gaps-ht"]
+    metric, dynamic = _folding_formulas(sorted(space.alphabet))
+    cores = [compile_to_core(f) for f in metric + dynamic]
+    paths = [Star(Choice(STEP, Test(Atom("a")))), Converse(Seq(STEP, Test(Atom("b"))))]
+
+    def values():
+        out = []
+        for grid in grid_batches(space):
+            oracle, classical = MhtEvaluator(grid.batch), ClassicalEvaluator(grid.batch)
+            out.append(([oracle.sat(f) for f in metric], [oracle.total.sat(f) for f in metric],
+                        [classical.value(node) for node in cores + paths]))
+        return out
+
+    want = values()
+
+    def engine(self, *args):
+        raise AssertionError("a reference called the lane engine")
+
+    for name in ("sat", "rel", "window"):
+        monkeypatch.setattr(LaneBatch, name, engine)
+    assert values() == want
 
 
 def test_chunks_hold_whole_time_grids_of_one_length(monkeypatch):

@@ -18,10 +18,9 @@ from mdel.formulas import (
 )
 from mdel.lanes import LaneBatch, grid_batches
 from mdel.laws import (
-    _direct_oracle, agreement_scan, check_release_table, random_formula, random_interval,
-    release_table_rows,
+    agreement_scan, check_release_table, random_formula, random_interval, release_table_rows,
 )
-from mdel.mht import mht_satisfies
+from mdel.mht import MhtEvaluator, mht_satisfies
 from mdel.parser import parse_formula
 from mdel.semantics import HERE, THERE, Evaluator
 from mdel.traces import TraceBounds, enumerate_traces, trace_to_dict
@@ -58,7 +57,7 @@ def test_batched_oracle_matches_naive_reference(monkeypatch, naive, limit, alpha
     traces = enumerate_traces(bounds)
     checked = 0
     for grid in grid_batches(bounds):
-        oracle = _direct_oracle(grid.batch)
+        oracle = MhtEvaluator(grid.batch)
         values = [(oracle.sat(f), oracle.total.sat(f)) for f in formulas]
         for lane in range(grid.size):
             trace = next(traces)
@@ -80,7 +79,7 @@ def test_one_lane_view_matches_batch():
     formulas = _metric_formulas(["a", "b"], 4, 10)
     traces = enumerate_traces(bounds)
     for grid in grid_batches(bounds):
-        oracle = _direct_oracle(grid.batch)
+        oracle = MhtEvaluator(grid.batch)
         for lane in range(grid.size):
             trace = next(traces)
             for f in formulas:

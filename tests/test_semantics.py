@@ -171,8 +171,7 @@ def test_classical_grid_evaluator_matches_naive_reference(space, monkeypatch):
         monkeypatch.setattr(lanes, "LANE_LIMIT", limit)
         lanes_seen = 0
         for grid in grid_batches(space):
-            twin = grid.batch.twin
-            ev = ClassicalEvaluator(twin.times, twin.columns, twin.full)
+            ev = ClassicalEvaluator(grid.batch)
             for lane in range(grid.size):
                 m = total_of(grid.trace(lane))
                 if (m.tau, m.there) not in want:
