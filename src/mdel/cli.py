@@ -43,18 +43,16 @@ def _read_formula_text(path: str) -> str:
     return text
 
 
-def _alphabet(args, fallback=None):
-    if args.alphabet:
-        atoms = [a.strip() for a in args.alphabet.split(",") if a.strip()]
-        if not atoms:
-            raise CliError("empty alphabet")
-        for a in atoms:
-            if not is_atom_name(a):
-                raise CliError(f"{a!r} is not an atom name a formula can mention")
-        return frozenset(atoms)
-    if fallback is not None:
+def _alphabet(args, fallback):
+    if args.alphabet is None:
         return frozenset(fallback)
-    raise CliError("--alphabet is required here")
+    atoms = [a.strip() for a in args.alphabet.split(",") if a.strip()]
+    if not atoms:
+        raise CliError("empty alphabet")
+    for a in atoms:
+        if not is_atom_name(a):
+            raise CliError(f"{a!r} is not an atom name a formula can mention")
+    return frozenset(atoms)
 
 
 def _bounds(args, alphabet) -> TraceBounds:

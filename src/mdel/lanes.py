@@ -2,21 +2,21 @@
 
 A lane is one trace.  A formula's value is a list of lambda lane masks
 (``value[k]`` has bit ``l`` set when the formula holds at position ``k`` of
-lane ``l``), and a relation is a lambda x lambda matrix of lane masks, kept
-as one dict of nonzero entries per row (``rel[k][i]`` has bit ``l`` set when
-position ``i`` is reachable from ``k`` in lane ``l``).  The lanes of a batch
-may have different time grids: ``times`` lists ``(tau, lanes)`` blocks, and
-a time window is a lambda x lambda matrix of lane masks (``window[k][i]``:
-the lanes whose tau(i) - tau(k) lies in the interval), kept as one position
-mask per row for the entries that hold in every lane and a dict of the
-others.  Each bitwise operation thus evaluates all lanes at once, as in the
-bit-parallel simulation of logic synthesis; the case split on the time
-stamps is moved into the masks.
+lane ``l``).  Every lambda x lambda matrix of lane masks has one shape: a
+list of rows, each a dict of its nonzero entries.  A relation is one
+(``rel[k][i]``: the lanes where position ``i`` is reachable from ``k``), and
+so is a time window (``window[k][i]``: the lanes whose tau(i) - tau(k) lies
+in the interval), since the lanes of a batch may have different time grids:
+``times`` lists ``(tau, lanes)`` blocks.  Each bitwise operation thus
+evaluates all lanes at once, as in the bit-parallel simulation of logic
+synthesis; the case split on the time stamps is moved into the masks.
 
 Grids number the lanes of one length as the mixed-radix number (time grid
 index, state-table index of position 0, ..., of position lambda - 1), the
 time grid most significant, so ascending lane order is the order in which
-``enumerate_traces`` yields the same traces.
+``enumerate_traces`` yields the same traces.  :func:`grid_columns` lays
+out the columns of every batch; one trace is the chunk that fixes every
+position (:func:`trace_batch`).
 
 This is the only HT evaluator.  ``semantics.Evaluator`` reads one-lane
 batches, and every bounded scan (``is_tautology_bounded``, the law suites,
@@ -30,8 +30,8 @@ check by whole-batch bit operations, reads only those lanes' positions with
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from itertools import groupby, islice, product, repeat
-from operator import and_, or_
+from itertools import groupby, islice, product
+from operator import or_
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .formulas import (
@@ -112,36 +112,18 @@ class LaneBatch:
                 break
         return out
 
-    def window(self, lo, hi) -> tuple:
-        """The lanes with tau(i) - tau(k) strictly between lo and hi, sparsely:
-        ``(inside, partial)``, where ``inside[k]`` is the positions i where that
-        holds in every lane, and ``partial[k][i]`` the lanes where it holds
-        when they are only some (None when no entry is partial, as in a
-        batch of one time grid)."""
+    def window(self, lo, hi) -> List[dict]:
+        """``window[k][i]``: the lanes with tau(i) - tau(k) strictly between lo
+        and hi, kept as the rows of ``rel`` are (no zero entry)."""
         key = (self.times, lo, hi)
         table = self.shared.get(key)
         if table is None:
-            blocks = []  # per time grid, positions[k]: the i in the window of k
+            table = self.shared[key] = [{} for _ in range(self.lam)]
             for tau, lanes in self.times:
-                positions = []
-                for tk in tau:
-                    mask = 0
+                for row, tk in zip(table, tau):
                     for i, ti in enumerate(tau):
                         if lo < ti - tk < hi:
-                            mask |= 1 << i
-                    positions.append(mask)
-                blocks.append((positions, lanes))
-            # the blocks partition the lanes: in every block means in every lane
-            inside = [reduce(and_, column) for column in zip(*(p for p, _ in blocks))]
-            partial = None
-            for positions, lanes in blocks:
-                for k, (mask, every) in enumerate(zip(positions, inside)):
-                    if mask != every:
-                        partial = partial or [{} for _ in inside]
-                        row = partial[k]
-                        for i in iter_lanes(mask & ~every):
                             row[i] = row.get(i, 0) | lanes
-            table = self.shared[key] = (inside, partial)
         return table
 
     # -- satisfaction ------------------------------------------------------------
@@ -163,18 +145,16 @@ class LaneBatch:
             return [0] * lam
         if t is Diamond or t is Box:
             rel = self.rel(f.path)
-            inside, partial = self.window(f.interval.lo, f.interval.hi)
+            window = self.window(f.interval.lo, f.interval.hi)
             body = self.sat(f.body)
             diamond, full = t is Diamond, self.full
             out = []
-            for row, every, some in zip(rel, inside, partial or repeat(None)):
+            for row, inside in zip(rel, window):
                 acc = 0
                 for i, x in row.items():
-                    # diamond: a witness; box: a counterexample
-                    if every >> i & 1:  # i is in the window in every lane
-                        acc |= x & body[i] if diamond else x & ~body[i]
-                    elif some and i in some:  # in the lanes some[i] only
-                        acc |= x & some[i] & body[i] if diamond else x & some[i] & ~body[i]
+                    w = inside.get(i)
+                    if w:  # diamond: a witness; box: a counterexample
+                        acc |= x & w & body[i] if diamond else x & w & ~body[i]
                 out.append(acc if diamond else full ^ acc)
             if not diamond and self.twin is not self:
                 # the universal condition must also hold in the there world
@@ -265,30 +245,16 @@ def _test_free_key(rho: PathExpr):
 # -- lane numbering ----------------------------------------------------------------
 
 
-def trace_columns(states: Sequence[frozenset]) -> dict:
-    """One-lane columns for a single state sequence."""
-    columns: dict = {}
-    for i, state in enumerate(states):
-        for a in state:
-            columns.setdefault(a, [0] * len(states))[i] = 1
-    return columns
-
-
-def trace_batch(trace: TimedHTTrace) -> LaneBatch:
-    """The one-lane batch of a trace; its twin is the batch of the there states."""
-    times = ((trace.tau, 1),)
-    total = LaneBatch(times, trace_columns(trace.there), 1)
-    if trace.is_total:
-        return total
-    return LaneBatch(times, trace_columns(trace.here), 1, twin=total)
-
-
 def grid_columns(states: Sequence[frozenset], prefix: tuple, suffix: int,
                  blocks: int = 1) -> tuple:
     """``(columns, full)`` of one chunk; ``states`` lists the state of each index.
 
-    The chunk repeats the lanes of one time grid ``blocks`` times, once per
-    time grid it holds."""
+    The first positions have the states ``states[d]`` of the indices ``d``
+    in ``prefix``; the last ``suffix`` positions take every index, lane by
+    lane, as the base-``len(states)`` digits of the lane number.  The chunk
+    repeats those lanes ``blocks`` times, once per time grid it holds.  A
+    single state sequence is the chunk that fixes every position:
+    ``grid_columns(states, tuple(range(len(states))), 0)``."""
     size, lam = len(states), len(prefix) + suffix
     full = (1 << blocks * size ** suffix) - 1
     columns: dict = {}
@@ -306,6 +272,16 @@ def grid_columns(states: Sequence[frozenset], prefix: tuple, suffix: int,
         for a, bits in unit.items():
             columns.setdefault(a, [0] * lam)[len(prefix) + q] = bits * repeat
     return columns, full
+
+
+def trace_batch(trace: TimedHTTrace) -> LaneBatch:
+    """The one-lane batch of a trace; its twin is the batch of the there states."""
+    times = ((trace.tau, 1),)
+    prefix = tuple(range(trace.length))
+    total = LaneBatch(times, *grid_columns(trace.there, prefix, 0))
+    if trace.is_total:
+        return total
+    return LaneBatch(times, *grid_columns(trace.here, prefix, 0), twin=total)
 
 
 # -- grids: every trace of a bounded space, batch by batch -------------------------

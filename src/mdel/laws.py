@@ -38,7 +38,7 @@ from .formulas import (
 )
 from .intervals import Interval, IntervalError, NEG_OMEGA, OMEGA, UNTIMED
 from .lanes import (
-    Grid, LaneBatch, grid_batches, iter_lanes, lane_mask, lanes_of, low_bit, trace_columns,
+    Grid, LaneBatch, grid_batches, grid_columns, iter_lanes, lane_mask, lanes_of, low_bit,
 )
 from .mht import MhtEvaluator
 from .semantics import ClassicalEvaluator
@@ -109,12 +109,11 @@ def interval_grid(values: Iterable[int]) -> Tuple[Interval, ...]:
     return tuple(iv for _, iv in sorted(seen.items()))
 
 
-def nested_argument_pool(atoms: Sequence[str],
-                         intervals: Sequence[Interval] = ()) -> Tuple[Formula, ...]:
+def nested_argument_pool(atoms: Sequence[str]) -> Tuple[Formula, ...]:
     """Depth-one argument formulas: every metric operator appears nested."""
     a = Atom(atoms[0])
     b = Atom(atoms[-1])
-    ivs = tuple(intervals) or (UNTIMED, Interval.closed_closed(0, 2))
+    ivs = (UNTIMED, Interval.closed_closed(0, 2))
     pool: List[Formula] = [a, b, TOP, BOT, Final(), Initial(),
                            Not(a), And(a, b), Or(a, b), Implies(a, b)]
     for op in UNARY_METRIC:
@@ -196,23 +195,18 @@ def random_path(rng: random.Random, atoms: Sequence[str], depth: int,
 
 
 def random_formula(rng: random.Random, atoms: Sequence[str], depth: int,
-                   metric: bool = True, dynamic: bool = True,
-                   untimed_only: bool = False) -> Formula:
+                   dynamic: bool = True, untimed_only: bool = False) -> Formula:
     if depth <= 0:
-        leaves = [Atom(rng.choice(atoms)), Atom(rng.choice(atoms)), TOP, BOT]
-        if metric:
-            leaves += [Final(), Initial()]
-        return rng.choice(leaves)
+        return rng.choice([Atom(rng.choice(atoms)), Atom(rng.choice(atoms)), TOP, BOT,
+                           Final(), Initial()])
 
     def sub():
-        return random_formula(rng, atoms, depth - 1, metric, dynamic, untimed_only)
+        return random_formula(rng, atoms, depth - 1, dynamic, untimed_only)
 
     def iv(past: bool = False):
         return UNTIMED if untimed_only else random_interval(rng, past=past)
 
-    choices = ["not", "and", "or", "implies"]
-    if metric:
-        choices += ["unary", "unary", "binary"]
+    choices = ["not", "and", "or", "implies", "unary", "unary", "binary"]
     if dynamic:
         choices += ["diamond", "box"]
     c = rng.choice(choices)
@@ -604,10 +598,6 @@ def tau_independence_scan(formulas: Sequence[Formula], rng: random.Random,
         return out
     compiled = [(f, compile_to_core(f)) for f in formulas]
     atoms = sorted(bounds.alphabet)
-
-    def both_lanes(states):  # the one-lane columns, in lanes 0 and 1
-        return {a: [3 * x for x in column] for a, column in trace_columns(states).items()}
-
     for _ in range(samples):
         lam = rng.randint(1, bounds.lambda_max)
         there, here = [], []
@@ -624,8 +614,9 @@ def tau_independence_scan(formulas: Sequence[Formula], rng: random.Random,
 
         tau1, tau2 = grid(), grid()
         times = ((tau1, 1), (tau2, 2))
-        twin = LaneBatch(times, both_lanes(there), 3)
-        batch = LaneBatch(times, both_lanes(here), 3, twin=twin)
+        positions = tuple(range(lam))  # the same states in lanes 0 and 1
+        twin = LaneBatch(times, *grid_columns(there, positions, 0, 2))
+        batch = LaneBatch(times, *grid_columns(here, positions, 0, 2), twin=twin)
         f, core = compiled[rng.randrange(len(compiled))]
         out.traces += 1
         out.checks += 2 * lam

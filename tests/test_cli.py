@@ -239,6 +239,16 @@ def test_alphabet_rejects_names_no_formula_can_mention(files, capsys, alphabet):
     assert code == 0 and out.startswith("EQUIVALENT")
 
 
+@pytest.mark.parametrize("alphabet", ["", ",,"])
+def test_empty_alphabet_exit_two(files, capsys, alphabet):
+    # an empty --alphabet is refused, not replaced by the command's fallback
+    formula = files("f.mdel", "a\n")
+    for argv in (("models", formula), ("equiv", formula, formula),
+                 ("laws", "boolean", "--samples", "1")):
+        code, out, err = run(capsys, *argv, "--alphabet", alphabet, "--lambda-max", "1")
+        assert (code, out, err) == (2, "", "error: empty alphabet\n"), argv
+
+
 # -- fuzzing: every input gets exit 0, 1 or 2 and no traceback ---------------------
 
 _TOKENS = ["a", "b", "c", "x1", "ev", "alw", "evp", "alwp", "next", "wnext", "prev",

@@ -244,7 +244,7 @@ def test_lane_chunks_keep_the_enumeration(monkeypatch):
 UNEVEN_TAUS = [(), (0,), (0, 3), (0, 1, 4), (0, 2, 3)]
 
 
-@pytest.mark.parametrize("limit", [lanes.LANE_LIMIT, 8])
+@pytest.mark.parametrize("limit", [1024, 8])
 @pytest.mark.parametrize("theory", [DIFFERENTIAL_THEORIES[i] for i in (0, 3, 5, 6, 21, 26)],
                          ids=range(6))
 def test_explicit_grids_match_per_trace_reference(theory, limit, monkeypatch):
@@ -293,7 +293,7 @@ def _matches_reference(theory, space):
     return groups
 
 
-@pytest.mark.parametrize("limit", [lanes.LANE_LIMIT, 8])
+@pytest.mark.parametrize("limit", [1024, 8])
 def test_groups_run_out_stay_open_and_block_in_one_grid(limit, monkeypatch):
     # at LANE_LIMIT 8 each chunk fixes two positions, so the occurrence
     # counters of a chunk start from its prefix's occurrences
@@ -310,7 +310,7 @@ def test_groups_run_out_stay_open_and_block_in_one_grid(limit, monkeypatch):
 THREE_ATOMS = [sos_theory(RESCALED), parse_theory("alw (a | b)\nalw (b | c)", "abc")]
 
 
-@pytest.mark.parametrize("limit", [lanes.LANE_LIMIT, 8])
+@pytest.mark.parametrize("limit", [1024, 8])
 @pytest.mark.parametrize("theory", THREE_ATOMS, ids=["sos", "two-choices"])
 def test_three_atoms_with_up_to_nine_occurrences(theory, limit, monkeypatch):
     monkeypatch.setattr(lanes, "LANE_LIMIT", limit)

@@ -9,8 +9,8 @@ import pytest
 
 from mdel.cli import main
 
-GOLDEN = json.load(open(os.path.join(os.path.dirname(__file__), "golden_cli.json"),
-                        encoding="utf-8"))
+with open(os.path.join(os.path.dirname(__file__), "golden_cli.json"), encoding="utf-8") as fh:
+    GOLDEN = json.load(fh)
 
 
 @pytest.mark.parametrize("case", GOLDEN["cases"],

@@ -235,7 +235,10 @@ def _run(case, monkeypatch):
 # -- the tests --------------------------------------------------------------------
 
 
-GOLDEN = json.load(open(PATH, encoding="utf-8")) if os.path.exists(PATH) else {}
+GOLDEN: dict = {}
+if os.path.exists(PATH):
+    with open(PATH, encoding="utf-8") as fh:
+        GOLDEN = json.load(fh)
 
 
 def test_every_case_is_recorded():

@@ -38,6 +38,38 @@ def test_cache_keys_outlive_fresh_nodes():
         assert batch.sat(diamond) == _batch().sat(diamond), i
 
 
+def test_window_rows_hold_the_lanes_of_each_offset():
+    # three time grids of one length folded into one batch: every entry is
+    # the mask of the lanes whose offset lies in the interval, and no zero
+    # entry is stored
+    taus = [(0, 1, 3), (0, 2, 3), (0, 1, 4)]
+    columns, full = grid_columns(STATES, (), 3, len(taus))
+    block = len(STATES) ** 3
+    times = tuple((tau, ((1 << block) - 1) << j * block) for j, tau in enumerate(taus))
+    batch = LaneBatch(times, columns, full)
+    intervals = [
+        Interval.closed_closed(1, 2),  # some entries hold in some time grids only
+        Interval.closed_closed(5, 3),  # empty
+        UNTIMED,
+        Interval.open_closed(-3, -1),  # past offsets only
+    ]
+    partial = 0
+    for iv in intervals:
+        window = batch.window(iv.lo, iv.hi)
+        assert batch.window(iv.lo, iv.hi) is window  # cached
+        assert len(window) == 3
+        for k, row in enumerate(window):
+            assert 0 not in row.values(), (iv, k)
+            for i in range(3):
+                want = 0
+                for tau, mask in times:
+                    if tau[i] - tau[k] in iv:
+                        want |= mask
+                assert row.get(i, 0) == want, (iv, k, i)
+                partial += want not in (0, full)
+    assert partial  # some entries hold in only some of the lanes
+
+
 def test_scan_violations_come_in_enumeration_order(monkeypatch):
     # with a classical evaluator made wrong on some total traces, the lane
     # scan must report the same violations, in the same order and after the
