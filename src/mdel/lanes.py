@@ -93,13 +93,17 @@ class LaneBatch:
         self.lam = len(times[0][0])
         self.columns = columns
         self.full = full
-        self.twin = self if twin is None else twin
+        self._twin = twin
         self.shared = ({} if twin is None else twin.shared) if shared is None else shared
         # the caches are keyed by node identity; pinning the nodes keeps an
         # id from being reused by a new node while its entry is live
         self._sat: dict = {}
         self._rel: dict = {}
         self._pin: list = []
+
+    @property
+    def twin(self) -> "LaneBatch":
+        return self._twin or self
 
     def models(self, compiled: Sequence[Formula], lanes: Optional[int] = None) -> int:
         """Lanes (within ``lanes``) satisfying every formula at position 0."""
@@ -156,9 +160,9 @@ class LaneBatch:
                     if w:  # diamond: a witness; box: a counterexample
                         acc |= x & w & body[i] if diamond else x & w & ~body[i]
                 out.append(acc if diamond else full ^ acc)
-            if not diamond and self.twin is not self:
+            if not diamond and self._twin is not None:
                 # the universal condition must also hold in the there world
-                out = [x & y for x, y in zip(out, self.twin.sat(f))]
+                out = [x & y for x, y in zip(out, self._twin.sat(f))]
             return out
         raise TypeError(f"core formula expected, found {type(f).__name__}")
 

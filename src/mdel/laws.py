@@ -8,10 +8,10 @@ expected outcome is a failure report exhibiting a counterexample.
 
 The exhaustive scans walk the grids of :func:`mdel.lanes.grid_batches`.
 Per lane batch they evaluate the compiled side once, and each reference
-once, built from the batch alone: the direct metric oracle
-(``MhtEvaluator(batch)``, :mod:`mdel.mht`) in both worlds, and the
-classical evaluator (``ClassicalEvaluator(batch)``, :mod:`mdel.semantics`)
-on the batch's there world, compared with the HT value on the total lanes
+once, both from one evaluator built from the batch alone
+(``MhtEvaluator(batch)``, :mod:`mdel.mht`): the direct metric oracle in
+both worlds, and the classical semantics in the batch's there world
+(``.total``), compared with the HT value on the total lanes
 (``Grid.total``) only.  Comparing whole batch values gives, per check, the
 mask of the lanes that may fail it.  Each scan lists a grid's checks in
 per-lane order and hands them to one walker (:func:`_walk`), which reads
@@ -41,7 +41,6 @@ from .lanes import (
     Grid, LaneBatch, grid_batches, grid_columns, iter_lanes, lane_mask, lanes_of, low_bit,
 )
 from .mht import MhtEvaluator
-from .semantics import ClassicalEvaluator
 from .traces import TimedHTTrace, TraceBounds, trace_to_dict
 
 
@@ -345,8 +344,8 @@ def agreement_scan(formulas: Sequence[Formula], bounds: TraceBounds,
         lam = batch.lam
         checks = []
         if lam:
-            oracle = MhtEvaluator(batch) if check_agreement else None
-            classical, total = ClassicalEvaluator(batch), grid.total
+            oracle = MhtEvaluator(batch)
+            classical, total = oracle.total, grid.total
             for surface, core, metric in pairs:
                 here, there = batch.sat(core), batch.twin.sat(core)
                 fields = {"formula": surface}
@@ -354,7 +353,7 @@ def agreement_scan(formulas: Sequence[Formula], bounds: TraceBounds,
                     _value_check(out.persistence_violations, lam,
                                  [h & ~t for h, t in zip(here, there)], fields),
                     _value_check(out.totality_violations, 0,
-                                 [(c ^ h) & total for c, h in zip(classical.value(core), here)],
+                                 [(c ^ h) & total for c, h in zip(classical.sat(core), here)],
                                  fields)]
                 if check_agreement and metric:
                     checks.append(_value_check(out.agreement_violations, 0, [
@@ -373,13 +372,13 @@ def relation_scan(paths: Sequence[PathExpr], bounds: TraceBounds) -> ScanOutcome
     paths = [F.compile_path(rho) for rho in paths]
     for grid in grid_batches(bounds):
         batch = grid.batch
-        classical = ClassicalEvaluator(batch)
+        classical = MhtEvaluator(batch.twin)
         checks = []
         for rho in paths:
             here, there = batch.rel(rho), batch.twin.rel(rho)
             beyond = lanes_of(x & ~t.get(i, 0) for h, t in zip(here, there) for i, x in h.items())
             # on the total lanes, the classical relation must equal the HT one
-            differ = lanes_of(x ^ h.get(i, 0) for h, row in zip(here, classical.value(rho))
+            differ = lanes_of(x ^ h.get(i, 0) for h, row in zip(here, classical.sat(rho))
                               for i, x in enumerate(row))
             fields = {"path": rho}
             checks += [_Check(out.persistence_violations, 1, beyond, fields),
@@ -492,6 +491,11 @@ def check_equivalence_dual(lhs: Formula, rhs: Formula,
     return (bad[0] if bad else None), out.checks
 
 
+def _check_release_alphabet(bounds: TraceBounds) -> None:
+    if not {"a", "b"} <= bounds.alphabet:
+        raise ValueError("the release suites need the atoms a and b in the alphabet")
+
+
 def check_release_table(bounds: TraceBounds, m_values: Sequence[int] = (1, 2, 3),
                         n_values: Sequence[int] = (0, 1, 2, 3)) -> List[LawReport]:
     """All sixteen rows, instantiated over the given bound grids.
@@ -500,6 +504,7 @@ def check_release_table(bounds: TraceBounds, m_values: Sequence[int] = (1, 2, 3)
     semantics, and the timed operator is additionally cross-checked against
     the direct metric oracle.  One pass per lane batch covers every instance.
     """
+    _check_release_alphabet(bounds)
     instances: dict = {}
     for mv in m_values:
         if mv <= 0:
@@ -542,6 +547,7 @@ def check_release_naive(bounds: TraceBounds,
 
     These are not valid laws; the expected outcome is a counterexample,
     reported as a failure."""
+    _check_release_alphabet(bounds)
     iv = Interval.closed_closed(3, 5) if interval is None else interval
     a, b = Atom("a"), Atom("b")
     naive_r = Or(Until(iv, b, And(a, b)), Always(iv, b))
@@ -702,9 +708,12 @@ def _sampled_formulas(rng: random.Random, atoms: Sequence[str], count: int,
 
 def run_suite(name: str, bounds: TraceBounds, seed: int = 0,
               samples: int = 100) -> List[LawReport]:
-    """Run one named law suite; raises KeyError for unknown suite names."""
+    """Run one named law suite; raises KeyError for unknown suite names and
+    ValueError for an empty alphabet."""
+    if not bounds.alphabet:
+        raise ValueError("empty alphabet")
     rng = random.Random(seed)
-    atoms = sorted(bounds.alphabet) or ["a"]
+    atoms = sorted(bounds.alphabet)
     space = bounds.describe() + f" seed={seed}"
 
     if name == "persistence":

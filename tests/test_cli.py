@@ -249,6 +249,18 @@ def test_empty_alphabet_exit_two(files, capsys, alphabet):
         assert (code, out, err) == (2, "", "error: empty alphabet\n"), argv
 
 
+@pytest.mark.parametrize("suite", ["release-table", "release-naive"])
+@pytest.mark.parametrize("alphabet", ["c", "a"])
+def test_release_suites_need_atoms_a_and_b(capsys, suite, alphabet):
+    # the release rows are written over a and b: over c they would pass
+    # vacuously, and over a a counterexample would mention b, which its
+    # trace document's alphabet lacks
+    code, out, err = run(capsys, "laws", suite, "--alphabet", alphabet, "--lambda-max", "2",
+                         "--max-gap", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: the release suites need the atoms a and b in the alphabet\n"
+
+
 # -- fuzzing: every input gets exit 0, 1 or 2 and no traceback ---------------------
 
 _TOKENS = ["a", "b", "c", "x1", "ev", "alw", "evp", "alwp", "next", "wnext", "prev",

@@ -8,8 +8,8 @@ on a set of lanes defined by the lanes' states, so early exits and
 first-failing-lane bookkeeping are pinned as well as clean passes:
 
 - ``diamond`` / ``box``: the lane engine (``LaneBatch``), on Diamond / Box;
-- ``classical``: the classical reference on total traces;
-- ``oracle``: the direct metric oracle (``MhtEvaluator``).
+- ``classical``: the classical clauses of ``MhtEvaluator``, on total traces;
+- ``oracle``: its metric clauses, the direct metric oracle.
 
 Lane chunking must not change any outcome, so the HT cases are also run
 with a small ``LANE_LIMIT``.
@@ -37,7 +37,7 @@ from mdel.laws import (
     random_formula, random_theory, relation_scan, release_table_rows, run_suite,
 )
 from mdel.mht import MhtEvaluator
-from mdel.semantics import ClassicalEvaluator, iff, is_tautology_bounded
+from mdel.semantics import iff, is_tautology_bounded
 from mdel.traces import TraceBounds, trace_to_dict
 
 PATH = os.path.join(os.path.dirname(__file__), "golden_scans.json")
@@ -75,7 +75,7 @@ def _fault_classical(monkeypatch):
     """Box is wrong at position 0 on traces with a at position 1, and every
     star relation gains the edge from the last position back to 0 on traces
     with b at position 0."""
-    correct = ClassicalEvaluator._compute
+    correct = MhtEvaluator._compute
 
     def faulty(self, node):
         value = list(correct(self, node))
@@ -86,7 +86,7 @@ def _fault_classical(monkeypatch):
                          for i, x in enumerate(value[-1])]
         return value
 
-    monkeypatch.setattr(ClassicalEvaluator, "_compute", faulty)
+    monkeypatch.setattr(MhtEvaluator, "_compute", faulty)
 
 
 def _fault_oracle(monkeypatch):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -12,7 +14,6 @@ from mdel.intervals import UNTIMED, Interval
 from mdel.lanes import LaneBatch, grid_batches, grid_columns
 from mdel.laws import random_formula
 from mdel.mht import MhtEvaluator
-from mdel.semantics import ClassicalEvaluator
 from mdel.traces import TimeGrids, TraceBounds, enumerate_traces, total_of
 
 STATES = [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
@@ -70,6 +71,25 @@ def test_window_rows_hold_the_lanes_of_each_offset():
     assert partial  # some entries hold in only some of the lanes
 
 
+def test_total_batches_and_evaluators_hold_no_reference_to_themselves():
+    # a total batch is its own twin and its evaluator its own total; with
+    # the cycle collector off, both must still be freed when dropped
+    f = Not(Atom("a"))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        batch = _batch()
+        ev = MhtEvaluator(batch)
+        assert batch.twin is batch and ev.total is ev
+        assert batch.sat(compile_to_core(f)) == ev.sat(f)
+        refs = [weakref.ref(batch), weakref.ref(ev)]
+        del batch, ev
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_scan_violations_come_in_enumeration_order(monkeypatch):
     # with a classical evaluator made wrong on some total traces, the lane
     # scan must report the same violations, in the same order and after the
@@ -79,7 +99,7 @@ def test_scan_violations_come_in_enumeration_order(monkeypatch):
     from mdel.semantics import Evaluator
     from mdel.traces import TraceBounds, enumerate_traces, trace_to_dict
 
-    correct = ClassicalEvaluator._compute
+    correct = MhtEvaluator._compute
 
     def faulty(self, node):
         # every formula is wrong at position 0 on the lanes with a at position 1
@@ -88,7 +108,7 @@ def test_scan_violations_come_in_enumeration_order(monkeypatch):
             value = [value[0] ^ (self.columns.get("a") or [0] * self.lam)[1], *value[1:]]
         return value
 
-    monkeypatch.setattr(ClassicalEvaluator, "_compute", faulty)
+    monkeypatch.setattr(MhtEvaluator, "_compute", faulty)
     bounds = TraceBounds(frozenset("ab"), 2, 2)
     f = parse_formula("ev[0..2] (a & b)")
     core = compile_to_core(f)
@@ -148,8 +168,8 @@ def test_folded_grids_match_naive_reference(space, limit, monkeypatch, naive):
     traces = enumerate_traces(space)
     for grid in grid_batches(space):
         batch = grid.batch
-        oracle, classical = MhtEvaluator(batch), ClassicalEvaluator(batch)
-        values = [(core, batch.sat(core), batch.twin.sat(core), classical.value(core),
+        oracle, classical = MhtEvaluator(batch), MhtEvaluator(batch.twin)
+        values = [(core, batch.sat(core), batch.twin.sat(core), classical.sat(core),
                    oracle.sat(f) if direct else None, oracle.total.sat(f) if direct else None)
                   for f, core, direct in formulas]
         for lane in range(grid.size):
@@ -181,9 +201,9 @@ def test_references_never_call_the_lane_engine(monkeypatch):
     def values():
         out = []
         for grid in grid_batches(space):
-            oracle, classical = MhtEvaluator(grid.batch), ClassicalEvaluator(grid.batch)
+            oracle, classical = MhtEvaluator(grid.batch), MhtEvaluator(grid.batch.twin)
             out.append(([oracle.sat(f) for f in metric], [oracle.total.sat(f) for f in metric],
-                        [classical.value(node) for node in cores + paths]))
+                        [classical.sat(node) for node in cores + paths]))
         return out
 
     want = values()

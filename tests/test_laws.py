@@ -171,6 +171,13 @@ def test_every_suite_runs_and_reports():
             assert all(r.verdict == "pass" for r in reports), name
 
 
+def test_run_suite_refuses_an_empty_alphabet():
+    # sampling over a phantom atom would report a pass for a space without atoms
+    for name in SUITES:
+        with pytest.raises(ValueError, match="empty alphabet"):
+            run_suite(name, TraceBounds(frozenset(), 2, 1), samples=4)
+
+
 def test_report_serialization():
     reports = check_release_naive(TraceBounds(AB, 3, 4))
     doc = reports[0].to_dict()

@@ -13,17 +13,29 @@ import pytest
 
 from mdel import lanes
 from mdel.formulas import (
-    BINARY_METRIC, PAST_OPS, UNARY_METRIC, Diamond, Final, Initial, compile_to_core,
-    pretty_print,
+    BINARY_METRIC, PAST_OPS, STEP, UNARY_METRIC, Atom, Box, Diamond, Final, Initial, Star,
+    compile_to_core, pretty_print,
 )
-from mdel.lanes import LaneBatch, grid_batches
+from mdel.intervals import UNTIMED
+from mdel.lanes import LaneBatch, grid_batches, trace_batch
 from mdel.laws import (
     agreement_scan, check_release_table, random_formula, random_interval, release_table_rows,
 )
 from mdel.mht import MhtEvaluator, mht_satisfies
 from mdel.parser import parse_formula
 from mdel.semantics import HERE, THERE, Evaluator
-from mdel.traces import TraceBounds, enumerate_traces, trace_to_dict
+from mdel.traces import TraceBounds, enumerate_traces, make_trace, total_of, trace_to_dict
+
+
+def test_only_a_total_evaluator_evaluates_core_modalities_and_paths():
+    # the classical clauses read a single world, which only a total batch has
+    trace = make_trace("a", [{"a"}, {"a"}], [0, 1], here=[set(), {"a"}])
+    ev = MhtEvaluator(trace_batch(trace))
+    path = Star(STEP)
+    for node in (Diamond(path, UNTIMED, Atom("a")), Box(path, UNTIMED, Atom("a")), path):
+        with pytest.raises(ValueError):
+            ev.sat(node)
+        assert ev.total.sat(node) == MhtEvaluator(trace_batch(total_of(trace))).sat(node)
 
 
 def _metric_formulas(atoms, seed, count):

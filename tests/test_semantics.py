@@ -11,11 +11,10 @@ from mdel.formulas import (
 from mdel.intervals import Interval, UNTIMED
 from mdel.lanes import grid_batches
 from mdel.laws import random_formula, random_path
-from mdel.mht import mht_satisfies
+from mdel.mht import MhtEvaluator, mht_satisfies
 from mdel.parser import parse_formula
 from mdel.semantics import (
-    HERE, THERE, ClassicalEvaluator, accessibility, equiv_bounded, is_tautology_bounded,
-    satisfies, satisfies_mdl,
+    HERE, THERE, accessibility, equiv_bounded, is_tautology_bounded, satisfies, satisfies_mdl,
 )
 from mdel.traces import TimeGrids, TraceBounds, enumerate_traces, make_trace, total_of
 
@@ -146,8 +145,8 @@ def _classical_reference_cases():
 def _classical_by_lane(ev, nodes, lane, lam):
     """One lane's positions per formula and position pairs per path."""
     formulas, paths = nodes
-    return ([[ev.value(f)[k] >> lane & 1 for k in range(lam)] for f in formulas],
-            [{(k, i) for k in range(lam) for i in range(lam) if ev.value(rho)[k][i] >> lane & 1}
+    return ([[ev.sat(f)[k] >> lane & 1 for k in range(lam)] for f in formulas],
+            [{(k, i) for k in range(lam) for i in range(lam) if ev.sat(rho)[k][i] >> lane & 1}
              for rho in paths])
 
 
@@ -171,7 +170,7 @@ def test_classical_grid_evaluator_matches_naive_reference(space, monkeypatch):
         monkeypatch.setattr(lanes, "LANE_LIMIT", limit)
         lanes_seen = 0
         for grid in grid_batches(space):
-            ev = ClassicalEvaluator(grid.batch)
+            ev = MhtEvaluator(grid.batch.twin)
             for lane in range(grid.size):
                 m = total_of(grid.trace(lane))
                 if (m.tau, m.there) not in want:
