@@ -15,6 +15,7 @@ from mdel.formulas import Atom
 from mdel.laws import (
     agreement_scan, interval_grid, nested_argument_pool, operator_space,
 )
+from mdel.parser import is_atom_name
 from mdel.traces import TraceBounds
 
 
@@ -32,6 +33,19 @@ def main() -> int:
     args = ap.parse_args()
 
     atoms = [a.strip() for a in args.alphabet.split(",") if a.strip()]
+    if not atoms:
+        ap.error("empty alphabet")
+    for a in atoms:
+        if not is_atom_name(a):
+            ap.error(f"{a!r} is not an atom name a formula can mention")
+    if args.lambda_max < 0:
+        ap.error("--lambda-max must be at least 0")
+    if args.max_gap < 1:
+        ap.error("--max-gap must be at least 1")
+    if args.interval_stride < 1:
+        ap.error("--interval-stride must be at least 1")
+    if args.max_args < 0:
+        ap.error("--max-args must be at least 0")
     future = interval_grid(range(0, args.future_bound + 1))[::args.interval_stride]
     past = interval_grid(range(-args.past_bound, args.past_bound + 1))
     past = past[::args.interval_stride]

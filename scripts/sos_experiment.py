@@ -65,6 +65,10 @@ def main() -> int:
     ap.add_argument("--skip-grid", action="store_true")
     ap.add_argument("-v", "--verbose", action="store_true")
     args = ap.parse_args()
+    if args.lambda_max < 0:
+        ap.error("--lambda-max must be at least 0")
+    if args.max_gap < 1:
+        ap.error("--max-gap must be at least 1")
 
     counts = run_rescaled(args.lambda_max, args.max_gap, args.verbose)
     if not args.skip_grid:

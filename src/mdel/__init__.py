@@ -16,13 +16,11 @@ from .formulas import (
 )
 from .parser import ParseError, parse_formula, parse_path, parse_theory
 from .traces import (
-    TimedHTTrace, TimeGrids, TraceBounds, TraceError, dump_trace, enumerate_traces,
-    load_trace, make_trace, strictly_below, total_of, trace_to_dict,
+    HERE, THERE, TimedHTTrace, TimeGrids, TraceBounds, TraceError, World, dump_trace,
+    enumerate_traces, load_trace, make_trace, strictly_below, total_of, trace_to_dict,
 )
-from .semantics import (
-    AccessRelation, Evaluator, HERE, THERE, Verdict, World, accessibility,
-    equiv_bounded, is_tautology_bounded, satisfies, satisfies_mdl,
-)
+from .semantics import AccessRelation, Evaluator, accessibility, satisfies, satisfies_mdl
+from .laws import Verdict, equiv_bounded, is_tautology_bounded
 from .mht import MhtEvaluator, mht_satisfies
 from .equilibrium import (
     EquilibriumResult, EquilibriumVerdict, enumerate_equilibrium,

@@ -17,10 +17,10 @@ from typing import Optional
 from .equilibrium import enumerate_equilibrium, result_to_dict
 from .formulas import atoms_of, compile_to_core
 from .intervals import IntervalError
-from .laws import SUITES, run_suite
+from .laws import SUITES, equiv_bounded, run_suite
 from .parser import ParseError, is_atom_name, parse_formula, parse_theory
-from .semantics import HERE, THERE, Evaluator, equiv_bounded
-from .traces import TraceBounds, TraceError, load_trace, trace_to_dict
+from .semantics import Evaluator
+from .traces import HERE, THERE, TraceBounds, TraceError, load_trace, trace_to_dict
 
 
 class CliError(Exception):

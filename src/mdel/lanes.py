@@ -19,12 +19,12 @@ out the columns of every batch; one trace is the chunk that fixes every
 position (:func:`trace_batch`).
 
 This is the only HT evaluator.  ``semantics.Evaluator`` reads one-lane
-batches, and every bounded scan (``is_tautology_bounded``, the law suites,
-the equilibrium search) walks the grids of :func:`grid_batches`: it
-evaluates its formulas once per batch, finds the lanes that may fail a
-check by whole-batch bit operations, reads only those lanes' positions with
-:func:`lane_mask` / :func:`lane_rows`, and builds a lane's trace
-(:meth:`Grid.trace`) only for a counterexample.
+batches, and every bounded scan (the scans of :mod:`mdel.laws`, the
+tautology search among them, and the equilibrium search) walks the grids of
+:func:`grid_batches`: it evaluates its formulas once per batch, finds the
+lanes that may fail a check by whole-batch bit operations, reads only those
+lanes' positions with :func:`lane_mask` / :func:`lane_rows`, and builds a
+lane's trace (:meth:`Grid.trace`) only for a counterexample.
 """
 
 from __future__ import annotations

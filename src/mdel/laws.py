@@ -4,7 +4,9 @@ Each suite exhaustively (or by seeded sampling) checks one family of
 semantic laws over a bounded trace space and returns :class:`LawReport`
 records.  Counterexamples carry a reloadable trace document.  Note that the
 ``release-naive`` suite checks deliberately false equivalence claims, so its
-expected outcome is a failure report exhibiting a counterexample.
+expected outcome is a failure report exhibiting a counterexample.  The
+bounded tautology search behind ``mdel equiv`` (:func:`is_tautology_bounded`)
+is one more scan, with a :class:`Verdict` for its result.
 
 The exhaustive scans walk the grids of :func:`mdel.lanes.grid_batches`.
 Per lane batch they evaluate the compiled side once, and each reference
@@ -41,7 +43,7 @@ from .lanes import (
     Grid, LaneBatch, grid_batches, grid_columns, iter_lanes, lane_mask, lanes_of, low_bit,
 )
 from .mht import MhtEvaluator
-from .traces import TimedHTTrace, TraceBounds, trace_to_dict
+from .traces import TimedHTTrace, TraceBounds, load_trace, trace_to_dict
 
 
 @dataclass
@@ -388,6 +390,54 @@ def relation_scan(paths: Sequence[PathExpr], bounds: TraceBounds) -> ScanOutcome
     return out
 
 
+# -- bounded tautology and equivalence checking ------------------------------------
+
+
+@dataclass(frozen=True)
+class Verdict:
+    valid: bool
+    counterexample: Optional[tuple]  # (trace, position)
+    traces_checked: int
+    positions_checked: int
+
+    def to_dict(self) -> dict:
+        if self.valid:
+            return {"verdict": "valid-up-to-bounds",
+                    "traces": self.traces_checked,
+                    "positions": self.positions_checked}
+        trace, k = self.counterexample
+        return {"verdict": "counterexample",
+                "trace": trace_to_dict(trace),
+                "position": k}
+
+
+def is_tautology_bounded(f: Formula, bounds: TraceBounds) -> Verdict:
+    """Exhaustively check f at every position of every trace within bounds.
+
+    Returns the first counterexample in enumeration order (trace order, then
+    position), or the bounded-validity verdict.
+    """
+    core = compile_to_core(f)
+    out = ScanOutcome()
+    for grid in grid_batches(bounds):
+        batch = grid.batch
+        if _walk(out, grid, [_value_check(out.agreement_violations, batch.lam,
+                                          [batch.full ^ x for x in batch.sat(core)], {})]):
+            break
+    bad = out.agreement_violations
+    cex = (load_trace(bad[0]["trace"]), bad[0]["position"]) if bad else None
+    return Verdict(not bad, cex, out.traces, out.checks)
+
+
+def iff(f: Formula, g: Formula) -> Formula:
+    return And(Implies(f, g), Implies(g, f))
+
+
+def equiv_bounded(f: Formula, g: Formula, bounds: TraceBounds) -> Verdict:
+    """Bounded equivalence: tautology check of the biconditional."""
+    return is_tautology_bounded(iff(f, g), bounds)
+
+
 # -- boolean connective clauses ------------------------------------------------------
 
 
@@ -709,9 +759,11 @@ def _sampled_formulas(rng: random.Random, atoms: Sequence[str], count: int,
 def run_suite(name: str, bounds: TraceBounds, seed: int = 0,
               samples: int = 100) -> List[LawReport]:
     """Run one named law suite; raises KeyError for unknown suite names and
-    ValueError for an empty alphabet."""
+    ValueError for an empty alphabet or fewer than one sample."""
     if not bounds.alphabet:
         raise ValueError("empty alphabet")
+    if samples < 1:  # no sample means no check: a pass would be vacuous
+        raise ValueError("samples must be at least 1")
     rng = random.Random(seed)
     atoms = sorted(bounds.alphabet)
     space = bounds.describe() + f" seed={seed}"

@@ -36,8 +36,7 @@ from .formulas import (
     Step, Test, Top, Trigger, Until, WNext, WPrev, is_metric,
 )
 from .lanes import LaneBatch, trace_batch
-from .semantics import HERE, THERE, World, _check_position
-from .traces import TimedHTTrace
+from .traces import HERE, THERE, TimedHTTrace, World, _check_position
 
 # the nodes of the classical clauses: core modalities and paths
 _CLASSICAL = frozenset((Diamond, Box, Step, Test, Choice, Seq, Star, Converse))

@@ -1,5 +1,4 @@
-"""Satisfaction on timed HT-traces: the one-trace view of the lane engine,
-and bounded tautology search.
+"""Satisfaction on one timed HT-trace: the one-trace view of the lane engine.
 
 Satisfaction is computed as *sets*: for each (sub)formula and world, the
 bitmask of trace positions where the formula holds; a relation is a tuple of
@@ -7,36 +6,28 @@ rows of bitmasks (``rows[k]`` holds the successors of position ``k``).
 
 The HT semantics has one implementation, :class:`mdel.lanes.LaneBatch`.
 :class:`Evaluator` is its view of a single trace: a one-lane batch whose
-there-world twin is the batch of the collapsed total trace.  Bounded scans
-(``is_tautology_bounded`` here, the law suites in :mod:`mdel.laws`) evaluate
-whole grids of traces at once instead.  The classical single-world
-semantics is the classical clause family of :class:`mdel.mht.MhtEvaluator`,
-which calls no evaluation code of the lane engine, so the totality law
-compares two independent computations; ``Evaluator.mdl_sat_mask`` /
-``mdl_rel_rows`` and :func:`satisfies_mdl` are its one-lane views.
+there-world twin is the batch of the collapsed total trace.  Bounded scans,
+the tautology search behind ``mdel equiv`` among them, evaluate whole grids
+of traces at once and live in :mod:`mdel.laws`.  The classical
+single-world semantics is the classical clause family of
+:class:`mdel.mht.MhtEvaluator`, which calls no evaluation code of the lane
+engine, so the totality law compares two independent computations;
+``Evaluator.mdl_sat_mask`` / ``mdl_rel_rows`` and :func:`satisfies_mdl` are
+its one-lane views.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Tuple
 
-from .formulas import Formula, PathExpr, compile_to_core
-from .lanes import (
-    LaneBatch, grid_batches, iter_lanes, lane_mask, lane_rows, lanes_of, low_bit, trace_batch,
-)
-from .traces import TimedHTTrace, TraceBounds
-
-
-class World(enum.Enum):
-    HERE = "here"
-    THERE = "there"
-
-
-HERE = World.HERE
-THERE = World.THERE
+from .formulas import Formula, PathExpr, compile_path, compile_to_core
+from .lanes import LaneBatch, iter_lanes, lane_mask, lane_rows, trace_batch
+# the tautology search and the worlds keep their old import path here
+from .laws import Verdict, equiv_bounded, iff, is_tautology_bounded
+from .mht import MhtEvaluator
+from .traces import HERE, THERE, TimedHTTrace, World, _check_position
 
 
 @dataclass(frozen=True)
@@ -80,9 +71,7 @@ class Evaluator:
         return lane_mask(self._lanes(world).sat(f), 0)
 
     @cached_property
-    def _classical(self):
-        from .mht import MhtEvaluator  # mht imports this module
-
+    def _classical(self) -> MhtEvaluator:
         return MhtEvaluator(self._batch.twin)
 
     def mdl_sat_mask(self, f: Formula) -> int:
@@ -95,15 +84,8 @@ class Evaluator:
 # -- public operations -----------------------------------------------------------
 
 
-def _check_position(m: TimedHTTrace, k: int):
-    if not 0 <= k < m.length:
-        raise IndexError(f"position {k} out of range for a trace of length {m.length}")
-
-
 def accessibility(rho: PathExpr, m: TimedHTTrace, world: World = HERE) -> AccessRelation:
     """The relation a path expression denotes on the trace in the given world."""
-    from .formulas import compile_path
-
     ev = Evaluator(m)
     rows = ev.rel_rows(compile_path(rho), world)
     pairs = frozenset((k, i) for k, row in enumerate(rows) for i in iter_lanes(row))
@@ -124,59 +106,3 @@ def satisfies_mdl(m: TimedHTTrace, k: int, f: Formula) -> bool:
     _check_position(m, k)
     core = compile_to_core(f)
     return bool(Evaluator(m).mdl_sat_mask(core) >> k & 1)
-
-
-# -- bounded tautology and equivalence checking ------------------------------------
-
-
-@dataclass(frozen=True)
-class Verdict:
-    valid: bool
-    counterexample: Optional[tuple]  # (trace, position)
-    traces_checked: int
-    positions_checked: int
-
-    def to_dict(self) -> dict:
-        from .traces import trace_to_dict
-
-        if self.valid:
-            return {"verdict": "valid-up-to-bounds",
-                    "traces": self.traces_checked,
-                    "positions": self.positions_checked}
-        trace, k = self.counterexample
-        return {"verdict": "counterexample",
-                "trace": trace_to_dict(trace),
-                "position": k}
-
-
-def is_tautology_bounded(f: Formula, bounds: TraceBounds) -> Verdict:
-    """Exhaustively check f at every position of every trace within bounds.
-
-    Returns the first counterexample in enumeration order (trace order, then
-    position), or the bounded-validity verdict.
-    """
-    core = compile_to_core(f)
-    traces = 0
-    positions = 0
-    for grid in grid_batches(bounds):
-        batch = grid.batch
-        missing = [batch.full ^ x for x in batch.sat(core)]
-        lanes = lanes_of(missing)
-        if lanes:  # the first failing lane, at its first failing position
-            lane = low_bit(lanes)
-            return Verdict(False, (grid.trace(lane), low_bit(lane_mask(missing, lane))),
-                           traces + lane + 1, positions + batch.lam * (lane + 1))
-        traces += grid.size
-        positions += batch.lam * grid.size
-    return Verdict(True, None, traces, positions)
-
-
-def iff(f: Formula, g: Formula) -> Formula:
-    from .formulas import And, Implies
-
-    return And(Implies(f, g), Implies(g, f))
-
-
-def equiv_bounded(f: Formula, g: Formula, bounds: TraceBounds) -> Verdict:
-    """Bounded equivalence: tautology check of the biconditional."""
-    return is_tautology_bounded(iff(f, g), bounds)

@@ -8,11 +8,13 @@ per-position state bitmasks (position 0 most significant; general HT states
 ordered by (there, here) mask pairs, atoms ordered alphabetically).  A
 ``TraceBounds`` space orders its time grids by length ascending, then
 lexicographically by the tuple of time gaps; a ``TimeGrids`` space lists
-them explicitly.
+them explicitly.  A trace is read in one of two worlds: ``HERE`` (its here
+states) or ``THERE`` (its there states, the collapsed total trace).
 """
 
 from __future__ import annotations
 
+import enum
 import json
 from dataclasses import dataclass
 from itertools import accumulate, product
@@ -64,6 +66,20 @@ class TimedHTTrace:
     @property
     def is_total(self) -> bool:
         return all(h is t or h == t for h, t in zip(self.here, self.there))
+
+
+class World(enum.Enum):
+    HERE = "here"
+    THERE = "there"
+
+
+HERE = World.HERE
+THERE = World.THERE
+
+
+def _check_position(m: TimedHTTrace, k: int):
+    if not 0 <= k < m.length:
+        raise IndexError(f"position {k} out of range for a trace of length {m.length}")
 
 
 def make_trace(alphabet, there, tau, here=None) -> TimedHTTrace:

@@ -178,6 +178,14 @@ def test_run_suite_refuses_an_empty_alphabet():
             run_suite(name, TraceBounds(frozenset(), 2, 1), samples=4)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_run_suite_refuses_fewer_than_one_sample(samples):
+    # no sample means no check: a pass would be vacuous
+    for name in SUITES:
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            run_suite(name, TraceBounds(AB, 2, 2), samples=samples)
+
+
 def test_report_serialization():
     reports = check_release_naive(TraceBounds(AB, 3, 4))
     doc = reports[0].to_dict()
