@@ -14,17 +14,21 @@ evaluates the total traces of a chunk of time grids in one pass, and the
 minimality search runs in rounds, round r evaluating the r-th candidate of
 every model still open in one here batch whose there twin is that pass.
 Models with the same number of occurrences share their candidates' index
-tuples, so a round costs Python work per such group, not per model.
+tuples, so a round costs Python work per such group, not per model.  A
+group that outlasts twice as many rounds as it would take batches with its
+candidates as lanes, and has more candidates left than that, is decided
+in such batches instead: ``LANE_LIMIT`` candidates of one model per batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator, Optional
 
+from . import lanes
 from .formulas import Theory, compile_to_core
-from .lanes import LaneBatch, grid_batches, iter_lanes, trace_batch
+from .lanes import LaneBatch, grid_batches, iter_lanes, low_bit, trace_batch
 from .traces import Space, TimedHTTrace, trace_to_dict
 
 
@@ -84,7 +88,14 @@ def _minimality(total: LaneBatch, compiled, models: int) -> list:
     one candidate per open group and evaluates all of them in one here batch
     over the same lanes, with ``total`` as its twin; the lanes that are
     models there are blocked, and a group whose candidates run out is
-    equilibria.  Returns ``(lanes, witnesses_checked, removed)`` triples,
+    equilibria.  A round is one pass however many groups it serves, and
+    most models are blocked by their first candidates.  But a group that is
+    not takes up to 2^n - 1 rounds, where :func:`_candidate_lanes` takes one
+    pass per model and ``LANE_LIMIT`` candidates, and a pass there evaluates
+    the theory in a here batch and its twin, a round in one batch.  So, as
+    in renting before buying, a group leaves the rounds for candidate lanes
+    once both the rounds run and its candidates left outnumber twice those
+    passes.  Returns ``(lanes, witnesses_checked, removed)`` triples,
     ``removed`` being the first blocker's occurrence indices or None.
     """
     counts, ranks = [models], {}  # counts[j]: lanes with j occurrences so far
@@ -98,6 +109,12 @@ def _minimality(total: LaneBatch, compiled, models: int) -> list:
     candidates = {n: _here_candidates(range(n)) for n in groups}
     verdicts, witnesses = [], 0
     while groups:
+        for n, live in list(groups.items()):
+            left = 2 ** n - 1 - witnesses  # candidates not yet drawn
+            passes = live.bit_count() * -(-left // lanes.LANE_LIMIT)
+            if min(witnesses, left) > 2 * passes:  # a pass evaluates two batches
+                verdicts += _candidate_lanes(total, compiled, groups.pop(n),
+                                             candidates[n], witnesses)
         witnesses += 1
         chosen, active, combos = [0] * len(counts), 0, {}  # chosen[j]: lanes removing j
         for n, live in list(groups.items()):
@@ -120,6 +137,57 @@ def _minimality(total: LaneBatch, compiled, models: int) -> list:
             if live & blocked:
                 verdicts.append((live & blocked, witnesses, combos[n]))
         groups = {n: live & ~blocked for n, live in groups.items() if live & ~blocked}
+    return verdicts
+
+
+def _candidate_lanes(total: LaneBatch, compiled, live: int, candidates, drawn: int) -> list:
+    """The minimality search of the model lanes ``live`` of a total batch,
+    which share their number of occurrences, with candidates as lanes.
+
+    ``candidates`` is the group's rank order, of which ``drawn`` are
+    decided.  The next ``LANE_LIMIT`` candidates are the lanes of one batch
+    per model: lane k keeps occurrence j unless the candidate of rank
+    ``drawn + k`` removes it, and the twin repeats the model in every lane.
+    The masks of which lanes remove j serve every model of the group.  A
+    model's first blocker is its lowest blocked lane; a model with none
+    takes the next candidates, until they run out.  Returns the same
+    triples as :func:`_minimality`, one per lane.
+    """
+    open_models = []  # (lane, tau, occurrences (i, a))
+    for lane in iter_lanes(live):
+        tau = next(tau for tau, block in total.times if block >> lane & 1)
+        open_models.append((lane, tau, [(i, a) for i in range(total.lam)
+                                        for a in sorted(total.columns)
+                                        if total.columns[a][i] >> lane & 1]))
+    verdicts = []
+    while open_models:
+        combos = list(islice(candidates, lanes.LANE_LIMIT))
+        if not combos:
+            return verdicts + [(1 << lane, drawn, None) for lane, _, _ in open_models]
+        width = len(combos)
+        removes = [bytearray(b"0" * width) for _ in open_models[0][2]]  # high bit first
+        for k, combo in enumerate(combos):
+            for j in combo:
+                removes[j][width - 1 - k] = 49  # ord("1")
+        full = (1 << width) - 1
+        keeps = [full ^ int(row, 2) for row in removes]
+        still_open = []
+        for lane, tau, occurrences in open_models:
+            times = ((tau, full),)
+            there: dict = {}
+            here: dict = {}
+            for j, (i, a) in enumerate(occurrences):
+                there.setdefault(a, [0] * total.lam)[i] = full
+                here.setdefault(a, [0] * total.lam)[i] = keeps[j]
+            twin = LaneBatch(times, there, full, shared=total.shared)
+            blocked = LaneBatch(times, here, full, twin=twin).models(compiled)
+            if blocked:
+                k = low_bit(blocked)
+                verdicts.append((1 << lane, drawn + k + 1, combos[k]))
+            else:
+                still_open.append((lane, tau, occurrences))
+        open_models = still_open
+        drawn += width
     return verdicts
 
 

@@ -43,7 +43,7 @@ from .traces import Space, TimedHTTrace, _state_table
 # A chunk holds as many whole time grids of one length as fit in this many
 # lanes; a time grid wider than this is split into chunks that fix the states
 # of the first positions.  It bounds the size of every lane mask.
-LANE_LIMIT = 1 << 10
+LANE_LIMIT = 1 << 12
 
 
 def iter_lanes(mask: int) -> Iterator[int]:

@@ -3,11 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from mdel import lanes
+from mdel import equilibrium, lanes
 from mdel.equilibrium import (
     enumerate_equilibrium, is_equilibrium, is_model, iter_models, result_to_dict,
 )
 from mdel.formulas import Theory, compile_to_core
+from mdel.lanes import LaneBatch
 from mdel.laws import random_theory
 from mdel.parser import parse_theory
 from mdel.sos import RESCALED, curated_space, sos_theory
@@ -244,7 +245,7 @@ def test_lane_chunks_keep_the_enumeration(monkeypatch):
 UNEVEN_TAUS = [(), (0,), (0, 3), (0, 1, 4), (0, 2, 3)]
 
 
-@pytest.mark.parametrize("limit", [1024, 8])
+@pytest.mark.parametrize("limit", [4096, 1024, 8])
 @pytest.mark.parametrize("theory", [DIFFERENTIAL_THEORIES[i] for i in (0, 3, 5, 6, 21, 26)],
                          ids=range(6))
 def test_explicit_grids_match_per_trace_reference(theory, limit, monkeypatch):
@@ -293,7 +294,7 @@ def _matches_reference(theory, space):
     return groups
 
 
-@pytest.mark.parametrize("limit", [1024, 8])
+@pytest.mark.parametrize("limit", [4096, 1024, 8])
 def test_groups_run_out_stay_open_and_block_in_one_grid(limit, monkeypatch):
     # at LANE_LIMIT 8 each chunk fixes two positions, so the occurrence
     # counters of a chunk start from its prefix's occurrences
@@ -310,7 +311,7 @@ def test_groups_run_out_stay_open_and_block_in_one_grid(limit, monkeypatch):
 THREE_ATOMS = [sos_theory(RESCALED), parse_theory("alw (a | b)\nalw (b | c)", "abc")]
 
 
-@pytest.mark.parametrize("limit", [1024, 8])
+@pytest.mark.parametrize("limit", [4096, 1024, 8])
 @pytest.mark.parametrize("theory", THREE_ATOMS, ids=["sos", "two-choices"])
 def test_three_atoms_with_up_to_nine_occurrences(theory, limit, monkeypatch):
     monkeypatch.setattr(lanes, "LANE_LIMIT", limit)
@@ -318,3 +319,83 @@ def test_three_atoms_with_up_to_nine_occurrences(theory, limit, monkeypatch):
     groups = _matches_reference(theory, space)
     assert max(groups) == 9
     assert any(status == "equilibrium" for verdicts in groups.values() for status, _ in verdicts)
+
+
+# -- candidate lanes: a group whose rounds would be many leaves them, and its
+# models are decided in batches whose lanes are the here-candidates -----------
+
+# a is on every position or on none, and b is wherever a is: the model with a
+# and b everywhere is blocked by the first candidate that removes every a
+ALL_OR_NOTHING = "alw (a -> (next a | final))\nalw (a -> (prev a | initial))\nalw (a -> b)"
+FACTS = parse_theory("alw a\nalw b", AB)  # equilibria after 2^n - 1 candidates
+CANDIDATE_THEORIES = [
+    parse_theory(ALL_OR_NOTHING, AB),
+    parse_theory(ALL_OR_NOTHING + "\nalw (b -> a)", AB),  # blocked by the last candidate
+    FACTS,
+    parse_theory(ALL_OR_NOTHING + "\nalw (c | !c)", "abc"),  # and free choices of c
+]
+MIXED_GRIDS = [(0, 1, 2, 3), (0, 2, 3, 5), (0, 1), (0, 3, 4), ()]
+
+
+@pytest.fixture
+def candidate_verdicts(monkeypatch):
+    """``(witnesses, blocked)`` of every model decided by candidate lanes."""
+    seen = []
+    decide = equilibrium._candidate_lanes
+
+    def spy(*args):
+        verdicts = decide(*args)
+        seen.extend((w, removed is not None) for _, w, removed in verdicts)
+        return verdicts
+
+    monkeypatch.setattr(equilibrium, "_candidate_lanes", spy)
+    return seen
+
+
+@pytest.mark.parametrize("limit", [4096, 1024, 8])
+@pytest.mark.parametrize("theory", CANDIDATE_THEORIES,
+                         ids=["mid-rank", "last-rank", "facts", "with-choices"])
+def test_candidate_lanes_match_per_trace_reference(theory, limit, monkeypatch,
+                                                   candidate_verdicts):
+    # at LANE_LIMIT 8 a model's candidates take many batches of 8 lanes
+    monkeypatch.setattr(lanes, "LANE_LIMIT", limit)
+    grids = MIXED_GRIDS if len(theory.alphabet) == 2 else MIXED_GRIDS[2:5]
+    groups = _matches_reference(theory, TimeGrids(theory.alphabet, grids))
+    assert len(groups) > 2 and candidate_verdicts  # groups of both kinds
+    if theory is CANDIDATE_THEORIES[0]:
+        # at lambda = 4, (0, 2, 4, 6) is the 21st candidate of size 4, after 92 smaller ones
+        assert (92 + 21, True) in candidate_verdicts
+    if theory is CANDIDATE_THEORIES[1]:
+        assert (255, True) in candidate_verdicts
+    if theory is FACTS:
+        assert (255, False) in candidate_verdicts
+
+
+@pytest.mark.parametrize("limit", [4096, 1024, 8])
+@pytest.mark.parametrize("theory", CANDIDATE_THEORIES[:3], ids=["mid-rank", "last-rank", "facts"])
+def test_candidate_lanes_match_naive_oracle(theory, limit, monkeypatch, candidate_verdicts):
+    monkeypatch.setattr(lanes, "LANE_LIMIT", limit)
+    compiled = [compile_to_core(f) for f in theory.formulas]
+    want = naive_equilibrium_models(compiled, sorted(theory.alphabet), 3, 3)
+    got = [(r.model.tau, r.model.there)
+           for r in enumerate_equilibrium(theory, TraceBounds(theory.alphabet, 3, 3))]
+    assert set(got) == want and len(got) == len(want)
+    assert candidate_verdicts
+
+
+def test_facts_decided_in_candidate_batches(monkeypatch):
+    # the one model of each length has n = 2 lambda occurrences; its rounds
+    # would be 2^n - 1, and at lambda = 9 that is 262,143
+    bounds = TraceBounds(AB, 8, 1)
+    assert [(r.lam, r.witnesses_checked) for r in enumerate_equilibrium(FACTS, bounds)] == [
+        (lam, 2 ** (2 * lam) - 1) for lam in range(1, 9)]
+    passes = []
+    models = LaneBatch.models
+    monkeypatch.setattr(LaneBatch, "models",
+                        lambda self, *args: passes.append(1) or models(self, *args))
+    verdict = is_equilibrium(make_trace(AB, [AB] * 9, range(9)), FACTS)
+    assert (verdict.status, verdict.witnesses_checked) == ("equilibrium", 262_143)
+    # modelhood, then rounds until they outnumber twice the 64 batches of
+    # 4,096 candidates that decide the rest
+    batches = 2 ** 18 // lanes.LANE_LIMIT
+    assert len(passes) == 1 + (2 * batches + 1) + batches

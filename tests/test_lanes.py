@@ -154,7 +154,8 @@ def _folding_formulas(atoms):
 
 
 @pytest.mark.parametrize("space, limit", [
-    ("broken-ht", 1024), ("broken-ht", 8), ("broken-total", 1024), ("broken-total", 8),
+    ("broken-ht", 4096), ("broken-ht", 1024), ("broken-ht", 8),
+    ("broken-total", 4096), ("broken-total", 1024), ("broken-total", 8),
     ("gaps-ht", 162),  # a chunk of two time grids, then one of one
 ])
 def test_folded_grids_match_naive_reference(space, limit, monkeypatch, naive):

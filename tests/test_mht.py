@@ -56,7 +56,7 @@ def _metric_formulas(atoms, seed, count):
     return out
 
 
-@pytest.mark.parametrize("limit", [1024, 8])
+@pytest.mark.parametrize("limit", [4096, 1024, 8])
 @pytest.mark.parametrize("alphabet, lambda_max, max_gap, seed, count", [
     ("a", 3, 3, 1, 16), ("ab", 2, 2, 2, 16), ("ab", 3, 1, 3, 4)])
 def test_batched_oracle_matches_naive_reference(monkeypatch, naive, limit, alphabet,

@@ -166,7 +166,7 @@ def test_classical_grid_evaluator_matches_naive_reference(space, monkeypatch):
     # the lane's own states (on the others, those of its collapsed trace)
     nodes = _classical_reference_cases()
     want: dict = {}
-    for limit in (1024, 8):
+    for limit in (4096, 1024, 8):
         monkeypatch.setattr(lanes, "LANE_LIMIT", limit)
         lanes_seen = 0
         for grid in grid_batches(space):
