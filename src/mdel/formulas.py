@@ -10,7 +10,10 @@ temporal operators and timed release/trigger) is a derived surface form that
 ``_rebuild``, and through them every structural traversal, read only that
 table.  :data:`CONSTANT_NAMES`, :data:`UNARY_NAMES` and :data:`BINARY_NAMES`
 are the one spelling of each operator: the printer writes them and the
-parser derives its keywords from them.
+parser derives its keywords from them.  :data:`PAST_OF` maps each future
+metric operator to its past mirror, and :data:`UNARY_CORE` maps each unary
+metric operator to its core modality and path; the compiler reads both, so
+trigger is compiled as the mirror of release.
 """
 
 from __future__ import annotations
@@ -242,7 +245,22 @@ BINARY_NAMES = {Until: "until", Since: "since", Release: "release", Trigger: "tr
 
 UNARY_METRIC = tuple(UNARY_NAMES)
 BINARY_METRIC = tuple(BINARY_NAMES)
-PAST_OPS = (Prev, WPrev, EvPast, AlwPast, Since, Trigger)
+
+# Each future metric operator's past mirror: the same definition read
+# backwards along the trace, over offsets tau(k) - tau(j).
+PAST_OF = {Next: Prev, WNext: WPrev, Eventually: EvPast, Always: AlwPast,
+           Until: Since, Release: Trigger}
+PAST_OPS = tuple(PAST_OF.values())
+_FUTURE_OF = {op: op for op in PAST_OF}
+
+# Each unary metric operator is a core modality over one shared path: the
+# step or its closure, and for a past operator the converse of its future
+# mirror's path (with the interval mirrored around zero).
+_STAR_STEP = Star(STEP)
+UNARY_CORE = {Next: (Diamond, STEP), WNext: (Box, STEP),
+              Eventually: (Diamond, _STAR_STEP), Always: (Box, _STAR_STEP)}
+UNARY_CORE.update({PAST_OF[op]: (core, Converse(path))
+                   for op, (core, path) in UNARY_CORE.items()})
 _CORE = (Atom, Bot, Diamond, Box)
 
 
@@ -302,42 +320,31 @@ class Theory:
 
 def untimed_release(left: Formula, right: Formula) -> Formula:
     """Interval-free release: (r until (l & r)) | alw r."""
-    return Or(Until(UNTIMED, right, And(left, right)), Always(UNTIMED, right))
+    return _untimed(_FUTURE_OF, left, right)
 
 
-def untimed_trigger(left: Formula, right: Formula) -> Formula:
-    """Interval-free trigger: (r since (l & r)) | alwp r."""
-    return Or(Since(UNTIMED, right, And(left, right)), AlwPast(UNTIMED, right))
+def _untimed(op: dict, left: Formula, right: Formula) -> Formula:
+    """Interval-free release, (r until (l & r)) | alw r, with each operator
+    read through ``op``: :data:`PAST_OF` gives interval-free trigger."""
+    return Or(op[Until](UNTIMED, right, And(left, right)), op[Always](UNTIMED, right))
 
 
-def expand_release(f: Release) -> Formula:
-    """Rewrite a timed release into unary metric operators plus untimed release.
+def expand_release(f: Formula) -> Formula:
+    """Rewrite a timed release into unary metric operators plus untimed release,
+    and a timed trigger into the past mirror (:data:`PAST_OF`) of the same.
 
-    Offsets reached by a future operator are nonnegative, so a lower end
+    Offsets reached by either operator are nonnegative, so a lower end
     below -1 is clamped to -1 (the canonical encoding of a closed-at-zero
     end) before choosing the expansion shape.
     """
+    op = PAST_OF if type(f) is Trigger else _FUTURE_OF
     iv, l, r = f.interval, f.left, f.right
-    lo = max(iv.lo, -1)
+    alw, lo = op[Always](iv, r), max(iv.lo, -1)
     if lo == -1:
         # zero offset inside the interval: plain untimed release tail
-        return Or(Always(iv, r), untimed_release(l, r))
-    tail = untimed_release(l, Or(l, WNext(UNTIMED, r)))
-    if lo == 0:
-        return Or(Always(iv, r), tail)
-    return Or(Always(iv, r), Eventually(Interval(-1, lo + 1), tail))
-
-
-def expand_trigger(f: Trigger) -> Formula:
-    """Past mirror of :func:`expand_release` (offsets are tau(k)-tau(j) >= 0)."""
-    iv, l, r = f.interval, f.left, f.right
-    lo = max(iv.lo, -1)
-    if lo == -1:
-        return Or(AlwPast(iv, r), untimed_trigger(l, r))
-    tail = untimed_trigger(l, Or(l, WPrev(UNTIMED, r)))
-    if lo == 0:
-        return Or(AlwPast(iv, r), tail)
-    return Or(AlwPast(iv, r), EvPast(Interval(-1, lo + 1), tail))
+        return Or(alw, _untimed(op, l, r))
+    tail = _untimed(op, l, Or(l, op[WNext](UNTIMED, r)))
+    return Or(alw, tail if lo == 0 else op[Eventually](Interval(-1, lo + 1), tail))
 
 
 # Structurally equal inputs share one compiled object, so identity-keyed
@@ -350,14 +357,17 @@ _CORE_MEMO: dict = {}
 _PATH_MEMO: dict = {}
 
 
+def _remember(memo: dict, key, out):
+    """Store ``memo[key] = out``, emptying a memo at its cap first."""
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[key] = out
+    return out
+
+
 def compile_path(rho: PathExpr) -> PathExpr:
     out = _PATH_MEMO.get(rho)
-    if out is None:
-        out = _compile_path(rho)
-        if len(_PATH_MEMO) >= MEMO_CAP:
-            _PATH_MEMO.clear()
-        _PATH_MEMO[rho] = out
-    return out
+    return _remember(_PATH_MEMO, rho, _compile_path(rho)) if out is None else out
 
 
 def _compile_path(rho: PathExpr) -> PathExpr:
@@ -373,12 +383,7 @@ def _compile_node(node):
 def compile_to_core(f: Formula) -> Formula:
     """Expand every derived operator, leaving only Atom/Bot/Diamond/Box."""
     out = _CORE_MEMO.get(f)
-    if out is None:
-        out = _compile_formula(f)
-        if len(_CORE_MEMO) >= MEMO_CAP:
-            _CORE_MEMO.clear()
-        _CORE_MEMO[f] = out
-    return out
+    return _remember(_CORE_MEMO, f, _compile_formula(f)) if out is None else out
 
 
 def _compile_formula(f: Formula) -> Formula:
@@ -407,22 +412,10 @@ def _compile_formula(f: Formula) -> Formula:
         return Box(STEP, UNTIMED, BOT)
     if t is Initial:
         return Box(Converse(STEP), UNTIMED, BOT)
-    if t is Next:
-        return Diamond(STEP, f.interval, compile_to_core(f.body))
-    if t is WNext:
-        return Box(STEP, f.interval, compile_to_core(f.body))
-    if t is Prev:
-        return Diamond(Converse(STEP), f.interval.invert(), compile_to_core(f.body))
-    if t is WPrev:
-        return Box(Converse(STEP), f.interval.invert(), compile_to_core(f.body))
-    if t is Eventually:
-        return Diamond(Star(STEP), f.interval, compile_to_core(f.body))
-    if t is Always:
-        return Box(Star(STEP), f.interval, compile_to_core(f.body))
-    if t is EvPast:
-        return Diamond(Converse(Star(STEP)), f.interval.invert(), compile_to_core(f.body))
-    if t is AlwPast:
-        return Box(Converse(Star(STEP)), f.interval.invert(), compile_to_core(f.body))
+    if t in UNARY_CORE:
+        core, path = UNARY_CORE[t]
+        iv = f.interval.invert() if t in PAST_OPS else f.interval
+        return core(path, iv, compile_to_core(f.body))
     if t is Until:
         return Diamond(
             Star(Seq(Test(compile_to_core(f.left)), STEP)),
@@ -435,10 +428,8 @@ def _compile_formula(f: Formula) -> Formula:
             f.interval.invert(),
             compile_to_core(f.right),
         )
-    if t is Release:
+    if t is Release or t is Trigger:
         return compile_to_core(expand_release(f))
-    if t is Trigger:
-        return compile_to_core(expand_trigger(f))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -452,7 +443,8 @@ def invert_past(f: Formula) -> Formula:
     """
     t = type(f)
     if t is EvPast:
-        return Diamond(Converse(Star(STEP)), f.interval.invert(), invert_past(f.body))
+        core, path = UNARY_CORE[EvPast]
+        return core(path, f.interval.invert(), invert_past(f.body))
     if t in PAST_OPS:
         raise ValueError(f"{t.__name__} is outside the past-eventually fragment")
     if t not in CHILDREN:

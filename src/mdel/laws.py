@@ -26,19 +26,18 @@ trace-by-trace loop.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import formulas as F
 from .formulas import (
     Atom, BOT, TOP, And, Or, Not, Implies, Final, Initial,
-    WNext, WPrev, Eventually, Always, EvPast, AlwPast,
-    Until, Since, Release, Trigger, Diamond, Box, Test, Choice, Seq, Star,
+    WNext, Eventually, Always, EvPast, Until, Release, Diamond, Box, Test, Choice, Seq, Star,
     Converse, STEP, Formula, PathExpr, Theory, compile_to_core, invert_past,
     pretty_print, formula_path, UNARY_METRIC, BINARY_METRIC, PAST_OPS,
 )
-from .intervals import Interval, IntervalError, NEG_OMEGA, OMEGA, UNTIMED
+from .intervals import Interval, NEG_OMEGA, OMEGA, UNTIMED
 from .lanes import (
     Grid, LaneBatch, grid_batches, grid_columns, iter_lanes, lane_mask, lanes_of, low_bit,
 )
@@ -157,17 +156,14 @@ def random_interval(rng: random.Random, past: bool = False) -> Interval:
         return UNTIMED
     lo_pool = range(-3, 4) if past else range(0, 4)
     kind = rng.randrange(8)
-    try:
-        if kind == 0:
-            return Interval.closed_open(rng.choice(lo_pool), OMEGA)
-        if kind == 1:
-            return Interval.open_closed(NEG_OMEGA, rng.choice(lo_pool))
-        m, n = rng.choice(lo_pool), rng.choice(lo_pool)
-        shape = rng.choice((Interval.closed_closed, Interval.closed_open,
-                            Interval.open_closed, Interval.open_open))
-        return shape(m, n)
-    except IntervalError:
-        return UNTIMED
+    if kind == 0:
+        return Interval.closed_open(rng.choice(lo_pool), OMEGA)
+    if kind == 1:
+        return Interval.open_closed(NEG_OMEGA, rng.choice(lo_pool))
+    m, n = rng.choice(lo_pool), rng.choice(lo_pool)
+    shape = rng.choice((Interval.closed_closed, Interval.closed_open,
+                        Interval.open_closed, Interval.open_open))
+    return shape(m, n)
 
 
 def random_path(rng: random.Random, atoms: Sequence[str], depth: int,
@@ -493,23 +489,31 @@ def release_table_rows(m: int, n: int) -> List[Tuple[str, Formula, Formula]]:
     ``R-I-0`` (which ignores m) reads ``a release_I(0,n) b`` as
     ``alw_I(0,n) b | a release c``, with c = b for a closed lower end and
     ``a | wnext b`` for an open one.  The ``T`` rows are their past mirror
-    images: trigger, alwp, evp and wprev.
+    images (:func:`_past_mirror`): trigger, alwp, evp and wprev.
     """
     a, b = Atom("a"), Atom("b")
     co, cc = Interval.closed_open, Interval.closed_closed
     shapes = (("co", co), ("cc", cc), ("oo", Interval.open_open), ("oc", Interval.open_closed))
+    tail = Or(a, WNext(UNTIMED, b))
     rows = []
-    for side, op, alw, ev, step in (("R", Release, Always, Eventually, WNext),
-                                    ("T", Trigger, AlwPast, EvPast, WPrev)):
-        tail = Or(a, step(UNTIMED, b))
-        for name, iv in shapes:
-            closed = name[0] == "c"
-            rows += [
-                (f"{side}-{name}-m", op(iv(m, n), a, b),
-                 Or(alw(iv(m, n), b), ev((co if closed else cc)(0, m), op(UNTIMED, a, tail)))),
-                (f"{side}-{name}-0", op(iv(0, n), a, b),
-                 Or(alw(iv(0, n), b), op(UNTIMED, a, b if closed else tail)))]
-    return rows
+    for name, iv in shapes:
+        closed = name[0] == "c"
+        rows += [
+            (f"R-{name}-m", Release(iv(m, n), a, b),
+             Or(Always(iv(m, n), b),
+                Eventually((co if closed else cc)(0, m), Release(UNTIMED, a, tail)))),
+            (f"R-{name}-0", Release(iv(0, n), a, b),
+             Or(Always(iv(0, n), b), Release(UNTIMED, a, b if closed else tail)))]
+    return rows + [("T" + row_id[1:], _past_mirror(lhs), _past_mirror(rhs))
+                   for row_id, lhs, rhs in rows]
+
+
+def _past_mirror(f: Formula) -> Formula:
+    """A metric formula with each future operator replaced by its past
+    mirror (:data:`~mdel.formulas.PAST_OF`), intervals kept."""
+    args = [_past_mirror(x) if isinstance(x, Formula) else x
+            for x in (getattr(f, fld.name) for fld in fields(f))]
+    return F.PAST_OF.get(type(f), type(f))(*args)
 
 
 def check_equivalence_dual(lhs: Formula, rhs: Formula,
@@ -600,11 +604,10 @@ def check_release_naive(bounds: TraceBounds,
     _check_release_alphabet(bounds)
     iv = Interval.closed_closed(3, 5) if interval is None else interval
     a, b = Atom("a"), Atom("b")
-    naive_r = Or(Until(iv, b, And(a, b)), Always(iv, b))
-    naive_t = Or(Since(iv, b, And(a, b)), AlwPast(iv, b))
+    release = (Release(iv, a, b), Or(Until(iv, b, And(a, b)), Always(iv, b)))
     reports = []
-    for law_id, lhs, rhs in (("release-naive-R", Release(iv, a, b), naive_r),
-                             ("trigger-naive-T", Trigger(iv, a, b), naive_t)):
+    for law_id, (lhs, rhs) in (("release-naive-R", release),
+                               ("trigger-naive-T", tuple(map(_past_mirror, release)))):
         cex, checked = check_equivalence_dual(lhs, rhs, bounds)
         reports.append(_report(law_id, bounds.describe(), checked, [cex] if cex else []))
     return reports
@@ -716,7 +719,7 @@ def invert_past_scan(formulas: Sequence[Formula], bounds: TraceBounds) -> ScanOu
 
 
 def bkt_fragment_formulas(rng: random.Random, atoms: Sequence[str],
-                          count: int, depth: int = 3) -> List[Formula]:
+                          count: int) -> List[Formula]:
     """Sampled formulas in the negation/disjunction/eventually fragment with
     future and past metric eventually operators."""
 
@@ -732,7 +735,7 @@ def bkt_fragment_formulas(rng: random.Random, atoms: Sequence[str],
             return Eventually(random_interval(rng), gen(d - 1))
         return EvPast(random_interval(rng, past=True), gen(d - 1))
 
-    return [gen(rng.randint(1, depth)) for _ in range(count)]
+    return [gen(rng.randint(1, 3)) for _ in range(count)]
 
 
 # -- suite registry -------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 a time window, a rescue station that only starts operating later must reply
 within a deadline.  Ships with constructors for the theory at the original
 minute constants or at a uniformly rescaled desk-size variant, plus a
-classifier for the shape families its equilibrium models fall into.
+classifier for the shape families its equilibrium models fall into: one
+table, :data:`SHAPES`, of family, regular expression over the states and
+time-stamp condition.
 
 Rescaling divides the constants by ten (the two-minute reply window maps to
 one unit), which preserves every ordering and threshold relation the
@@ -11,6 +13,7 @@ scenario analysis depends on.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
@@ -53,8 +56,23 @@ def sos_theory(constants: SosConstants = RESCALED) -> Theory:
     return Theory((accident, sos, reply), ALPHABET)
 
 
-FAMILIES = ("accident-at-end", "no-transition", "unattended",
-            "immediate-help", "late-help")
+# The equilibrium-model shape families.  Each shape is a regular expression
+# over one letter per state: ``0`` for {}, ``a``, ``s`` and ``h`` for a
+# singleton, ``S`` for {s,h}.  Its first group marks the accident i, with
+# tau(i) = accident_time in every family; the condition reads the time
+# stamps of the other groups: the state after the accident, the last SOS j
+# and the help reply k.
+SHAPES = (
+    ("accident-at-end", "0*(a)", lambda c: True),
+    ("no-transition", "0*(a)(0)0*", lambda c, n: n > c.station_time),
+    ("unattended", "0*(a)s*(s)0*", lambda c, j: j < c.station_time),
+    ("immediate-help", "0*(a)s*(S)0*", lambda c, j: j == c.station_time),
+    ("late-help", "0*(a)s*(s)0*(h)0*",
+     lambda c, j, k: j == c.station_time and k <= c.station_time + c.reply_window),
+)
+FAMILIES = tuple(family for family, _, _ in SHAPES)
+_LETTERS = {frozenset(): "0", frozenset("a"): "a", frozenset("s"): "s", frozenset("h"): "h",
+            frozenset("sh"): "S"}
 
 CURATED_GRID = (0, 40, 45, 50, 51, 52)
 
@@ -72,54 +90,15 @@ def curated_space(grid: Sequence[int] = CURATED_GRID) -> TimeGrids:
 
 
 def classify(model: TimedHTTrace, constants: SosConstants = RESCALED) -> Optional[str]:
-    """Match a total trace against the five equilibrium-model shape families.
+    """The family of :data:`SHAPES` that a total trace matches, or None.
 
-    Shapes (with i the accident position, j the last SOS, k the help reply):
-
-    - accident-at-end:  0* . {a}                    tau(i) = accident_time
-    - no-transition:    0* . {a} . 0 . 0*           tau(i+1) > station_time
-    - unattended:       0* . {a} . {s}* . {s} . 0*  tau(j) < station_time
-    - immediate-help:   0* . {a} . {s}* . {s,h} . 0*   tau(j) = station_time
-    - late-help:        0* . {a} . {s}* . {s} . 0* . {h} . 0*
-                        tau(j) = station_time, tau(k) <= station_time + reply_window
-
-    Returns the family name, or None when the trace matches no family.
+    The shapes match disjoint words, so at most one can hold.
     """
-    states = [frozenset(x) for x in model.there]
-    tau = model.tau
-    lam = len(states)
-    a_positions = [i for i, st in enumerate(states) if "a" in st]
-    if len(a_positions) != 1:
-        return None
-    i = a_positions[0]
-    if states[i] != {"a"} or tau[i] != constants.accident_time:
-        return None
-    if any(states[p] for p in range(i)):
-        return None
-    rest = states[i + 1:]
-    if i + 1 == lam:
-        return "accident-at-end"
-    if all(not st for st in rest):
-        return "no-transition" if tau[i + 1] > constants.station_time else None
-    s_positions = [p for p in range(i + 1, lam) if "s" in states[p]]
-    if not s_positions or s_positions != list(range(i + 1, s_positions[-1] + 1)):
-        return None
-    j = s_positions[-1]
-    run_is_clean = all(states[p] == {"s"} for p in range(i + 1, j))
-    if not run_is_clean:
-        return None
-    after = list(range(j + 1, lam))
-    if states[j] == {"s", "h"}:
-        if tau[j] == constants.station_time and all(not states[p] for p in after):
-            return "immediate-help"
-        return None
-    if states[j] != {"s"}:
-        return None
-    h_positions = [p for p in after if states[p]]
-    if not h_positions:
-        return "unattended" if tau[j] < constants.station_time else None
-    if (len(h_positions) == 1 and states[h_positions[0]] == {"h"}
-            and tau[j] == constants.station_time
-            and tau[h_positions[0]] <= constants.station_time + constants.reply_window):
-        return "late-help"
+    word = "".join(_LETTERS.get(state, "x") for state in model.there)
+    for family, shape, holds in SHAPES:
+        match = re.fullmatch(shape, word)
+        if match:
+            i, *times = (model.tau[match.start(g)] for g in range(1, len(match.groups()) + 1))
+            if i == constants.accident_time and holds(constants, *times):
+                return family
     return None

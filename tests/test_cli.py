@@ -317,3 +317,54 @@ def test_check_fuzz_exit_codes(formula, trace, position):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert (code == 2) == err.getvalue().startswith("error: ")
+
+
+# -- usage errors: argparse refusals exit 2, never a traceback ------------------------
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["models"], "the following arguments are required: theory"),
+    (["models", "th.mdel", "--lambda-max", "x"], "argument --lambda-max: invalid int value"),
+    (["check", "f.mdel", "t.json", "--position", "1.5"], "argument --position: invalid int value"),
+])
+def test_usage_errors_exit_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: mdel") and message in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--max-gap", "0"], "error: max_gap must be >= 1\n"),
+    (["--lambda-max", "-1"], "error: lambda_max must be >= 0\n"),
+])
+def test_bounds_out_of_range_exit_two(files, capsys, flags, message):
+    theory = files("th.mdel", "ev a\n")
+    code, out, err = run(capsys, "models", theory, *flags)
+    assert (code, out, err) == (2, "", message)
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: mdel")
+
+
+def test_models_listing_shows_the_empty_trace(files, capsys):
+    # the empty trace models only the empty theory: no position 0 to hold at
+    theory = files("th.mdel", "# no formulas\n")
+    code, out, _ = run(capsys, "models", theory, "--alphabet", "a", "--lambda-max", "1")
+    assert code == 0
+    assert out.splitlines() == ["# lambda=0 (1 models)", "<empty>",
+                                "# lambda=1 (1 models)", "{} @ tau=[0]", "total: 2"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"alphabet": ["a"], "lambda": 1, "tau": [0], "there": [["b"]]},
+    {"alphabet": ["a"], "lambda": 1, "tau": [0], "there": [["a"]], "here": [["b"]]},
+])
+def test_check_atom_outside_the_alphabet_exit_two(files, capsys, doc):
+    trace = files("t.json", json.dumps(doc))
+    code, out, err = run(capsys, "check", files("f.mdel", "a\n"), trace)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err

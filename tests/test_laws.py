@@ -190,3 +190,13 @@ def test_report_serialization():
     reports = check_release_naive(TraceBounds(AB, 3, 4))
     doc = reports[0].to_dict()
     assert doc["verdict"] == "fail" and "counterexample" in doc
+
+
+def test_inputs_the_law_checks_refuse():
+    with pytest.raises(ValueError, match="m > 0"):
+        check_release_table(SMALL, m_values=(0,))
+    with pytest.raises(KeyError, match="unknown law suite: nope"):
+        run_suite("nope", SMALL)
+    with pytest.raises(ValueError, match="interval-free"):
+        tau_independence_scan([parse_formula("ev a"), parse_formula("ev [0..2] a")],
+                              random.Random(1), SMALL, samples=1)

@@ -160,3 +160,20 @@ def formulas(draw):
 @given(formulas())
 def test_parse_is_inverse_of_pretty_print(f):
     assert parse_formula(pretty_print(f), AB) == f
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ev[w..3] a", "lower interval bound must be an integer or -w"),
+    ("ev[0..-w] a", "upper interval bound must be an integer or w"),
+    ("ev[0..x] a", "expected an interval bound"),
+    ("ev[0..3 a", "expected '\\)' or '\\]' closing the interval"),
+    ("[0..3] a", "an interval must follow an operator"),
+])
+def test_malformed_intervals_rejected(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_formula(text, AB)
+
+
+def test_path_trailing_input_rejected():
+    with pytest.raises(ParseError, match="trailing input 'step'"):
+        parse_path("step step")

@@ -14,7 +14,8 @@ from mdel.laws import random_formula, random_path
 from mdel.mht import MhtEvaluator, mht_satisfies
 from mdel.parser import parse_formula
 from mdel.semantics import (
-    HERE, THERE, accessibility, equiv_bounded, is_tautology_bounded, satisfies, satisfies_mdl,
+    HERE, THERE, Evaluator, accessibility, equiv_bounded, is_tautology_bounded, satisfies,
+    satisfies_mdl,
 )
 from mdel.traces import TimeGrids, TraceBounds, enumerate_traces, make_trace, total_of
 
@@ -29,6 +30,12 @@ def test_access_relation_examples():
     assert accessibility(Star(STEP), TRACE_43).pairs == {
         (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)}
     assert accessibility(Converse(STEP), TRACE_43).pairs == {(1, 0), (2, 1)}
+
+
+def test_access_relation_membership_and_inclusion():
+    step, star = accessibility(STEP, TRACE_43), accessibility(Star(STEP), TRACE_43)
+    assert (0, 1) in step and (1, 0) not in step
+    assert step <= star and not star <= step
 
 
 def test_release_counterexample_trace():
@@ -178,6 +185,18 @@ def test_classical_grid_evaluator_matches_naive_reference(space, monkeypatch):
                 assert _classical_by_lane(ev, nodes, lane, m.length) == want[m.tau, m.there]
             lanes_seen += grid.size
         assert lanes_seen == sum(1 for _ in enumerate_traces(space))
+
+
+def test_mdl_rel_rows_match_naive_relation():
+    # row k of a path's classical relation is the mask of the positions k
+    # reaches, on every total trace of lambda <= 3 over {a, b}
+    _, paths = _classical_reference_cases()
+    for m in enumerate_traces(TraceBounds(AB, 3, 2, total_only=True)):
+        ev = Evaluator(m)
+        for rho in paths:
+            rows = ev.mdl_rel_rows(rho)
+            got = {(k, i) for k, row in enumerate(rows) for i in range(m.length) if row >> i & 1}
+            assert len(rows) == m.length and got == naive_relation(rho, m)
 
 
 @st.composite

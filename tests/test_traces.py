@@ -200,3 +200,22 @@ def test_lambda_zero_always_first_and_unique(lam, gap):
     ms = list(enumerate_traces(TraceBounds(frozenset("a"), lam, gap)))
     assert ms[0].length == 0
     assert sum(1 for m in ms if m.length == 0) == 1
+
+
+@pytest.mark.parametrize("here", [[["b"]], [["a"]]])
+def test_atom_outside_the_alphabet_rejected(here):
+    doc = {"alphabet": ["a"], "lambda": 1, "tau": [0], "there": [["a", "b"]], "here": here}
+    with pytest.raises(TraceError, match="atoms outside the alphabet"):
+        load_trace(doc)
+
+
+@pytest.mark.parametrize("field", ["tau", "here", "there"])
+def test_tau_here_and_there_must_be_lists(field):
+    doc = {"alphabet": ["a"], "lambda": 1, "tau": [0], "there": [["a"]], field: "0"}
+    with pytest.raises(TraceError, match="tau, here and there must be lists"):
+        load_trace(doc)
+
+
+def test_unequal_lengths_rejected():
+    with pytest.raises(TraceError, match="equal length"):
+        TimedHTTrace(frozenset("a"), (frozenset(),), (frozenset(), frozenset()), (0, 1))
