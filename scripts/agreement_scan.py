@@ -15,7 +15,7 @@ from mdel.formulas import Atom
 from mdel.laws import (
     agreement_scan, interval_grid, nested_argument_pool, operator_space,
 )
-from mdel.parser import is_atom_name
+from mdel.parser import parse_alphabet
 from mdel.traces import TraceBounds
 
 
@@ -32,16 +32,11 @@ def main() -> int:
                     help="cap the nested-argument pool (0 = no cap)")
     args = ap.parse_args()
 
-    atoms = [a.strip() for a in args.alphabet.split(",") if a.strip()]
-    if not atoms:
-        ap.error("empty alphabet")
-    for a in atoms:
-        if not is_atom_name(a):
-            ap.error(f"{a!r} is not an atom name a formula can mention")
-    if args.lambda_max < 0:
-        ap.error("--lambda-max must be at least 0")
-    if args.max_gap < 1:
-        ap.error("--max-gap must be at least 1")
+    try:
+        atoms = parse_alphabet(args.alphabet)
+        bounds = TraceBounds(frozenset(atoms), args.lambda_max, args.max_gap)
+    except ValueError as exc:
+        ap.error(str(exc))
     if args.interval_stride < 1:
         ap.error("--interval-stride must be at least 1")
     if args.max_args < 0:
@@ -55,7 +50,6 @@ def main() -> int:
     first = Atom(atoms[0])
     pairs = [(first, x) for x in pool[:10]] + [(x, first) for x in pool[:5]]
     space = operator_space(atoms, future, past, pool, pairs)
-    bounds = TraceBounds(frozenset(atoms), args.lambda_max, args.max_gap)
 
     print(f"scanning {len(space)} formulas over {bounds.describe()} "
           f"({len(future)} future / {len(past)} past intervals, "

@@ -28,9 +28,8 @@ def render(model) -> str:
     return f"tau={list(model.tau)} {states}"
 
 
-def run_rescaled(lambda_max: int, max_gap: int, verbose: bool) -> dict:
+def run_rescaled(bounds: TraceBounds, verbose: bool) -> dict:
     theory = sos_theory(RESCALED)
-    bounds = TraceBounds(ALPHABET, lambda_max, max_gap, total_only=True)
     counts: dict = {}
     start = time.perf_counter()
     for result in enumerate_equilibrium(theory, bounds):
@@ -39,7 +38,7 @@ def run_rescaled(lambda_max: int, max_gap: int, verbose: bool) -> dict:
         if verbose:
             print(f"  [{fam}] {render(result.model)}")
     elapsed = time.perf_counter() - start
-    print(f"rescaled run (lambda<={lambda_max}, gap<={max_gap}): "
+    print(f"rescaled run (lambda<={bounds.lambda_max}, gap<={bounds.max_gap}): "
           f"{sum(counts.values())} models in {elapsed:.1f}s -> {counts}")
     return counts
 
@@ -65,12 +64,12 @@ def main() -> int:
     ap.add_argument("--skip-grid", action="store_true")
     ap.add_argument("-v", "--verbose", action="store_true")
     args = ap.parse_args()
-    if args.lambda_max < 0:
-        ap.error("--lambda-max must be at least 0")
-    if args.max_gap < 1:
-        ap.error("--max-gap must be at least 1")
+    try:
+        bounds = TraceBounds(ALPHABET, args.lambda_max, args.max_gap, total_only=True)
+    except ValueError as exc:
+        ap.error(str(exc))
 
-    counts = run_rescaled(args.lambda_max, args.max_gap, args.verbose)
+    counts = run_rescaled(bounds, args.verbose)
     if not args.skip_grid:
         counts_grid = run_grid(args.verbose)
         if None in counts_grid:

@@ -18,7 +18,7 @@ from .equilibrium import enumerate_equilibrium, result_to_dict
 from .formulas import atoms_of, compile_to_core
 from .intervals import IntervalError
 from .laws import SUITES, equiv_bounded, run_suite
-from .parser import ParseError, is_atom_name, parse_formula, parse_theory
+from .parser import ParseError, formula_lines, parse_alphabet, parse_formula, parse_theory
 from .semantics import Evaluator
 from .traces import HERE, THERE, TraceBounds, TraceError, load_trace, trace_to_dict
 
@@ -36,27 +36,20 @@ def _read(path: str) -> str:
 
 
 def _read_formula_text(path: str) -> str:
-    lines = [line.split("#", 1)[0] for line in _read(path).splitlines()]
-    text = " ".join(line.strip() for line in lines if line.strip())
+    text = " ".join(formula_lines(_read(path)))
     if not text:
         raise CliError(f"{path} contains no formula")
     return text
 
 
-def _alphabet(args, fallback):
-    if args.alphabet is None:
-        return frozenset(fallback)
-    atoms = [a.strip() for a in args.alphabet.split(",") if a.strip()]
-    if not atoms:
-        raise CliError("empty alphabet")
-    for a in atoms:
-        if not is_atom_name(a):
-            raise CliError(f"{a!r} is not an atom name a formula can mention")
-    return frozenset(atoms)
+def _alphabet(args) -> Optional[frozenset]:
+    """The atoms of ``--alphabet``, or None when the option is absent."""
+    return None if args.alphabet is None else frozenset(parse_alphabet(args.alphabet))
 
 
-def _bounds(args, alphabet) -> TraceBounds:
-    return TraceBounds(alphabet, args.lambda_max, args.max_gap,
+def _bounds(args, atoms) -> TraceBounds:
+    """The search space over ``atoms``, or over ``a`` when there are none."""
+    return TraceBounds(atoms or {"a"}, args.lambda_max, args.max_gap,
                        getattr(args, "total_only", False))
 
 
@@ -99,11 +92,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_models(args) -> int:
-    text = _read(args.theory)
-    alphabet = _alphabet(args, fallback=_theory_atoms(text))
-    theory = parse_theory(text, alphabet)
-    bounds = _bounds(args, alphabet)
-    results = list(enumerate_equilibrium(theory, bounds))
+    theory = parse_theory(_read(args.theory), _alphabet(args))
+    results = list(enumerate_equilibrium(theory, _bounds(args, theory.alphabet)))
     counts: dict = {}
     for r in results:
         counts[r.lam] = counts.get(r.lam, 0) + 1
@@ -129,23 +119,13 @@ def cmd_models(args) -> int:
     return 0
 
 
-def _theory_atoms(text: str):
-    atoms = set()
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            atoms |= atoms_of(parse_formula(line))
-    return atoms
-
-
 def cmd_equiv(args) -> int:
     text_a = _read_formula_text(args.formula_a)
     text_b = _read_formula_text(args.formula_b)
-    fallback = atoms_of(parse_formula(text_a)) | atoms_of(parse_formula(text_b))
-    alphabet = _alphabet(args, fallback=fallback or {"a"})
+    alphabet = _alphabet(args)
     f = parse_formula(text_a, alphabet)
     g = parse_formula(text_b, alphabet)
-    verdict = equiv_bounded(f, g, _bounds(args, alphabet))
+    verdict = equiv_bounded(f, g, _bounds(args, alphabet or atoms_of(f) | atoms_of(g)))
     if args.json:
         _emit(verdict.to_dict())
     elif verdict.valid:
@@ -164,8 +144,7 @@ def cmd_laws(args) -> int:
         raise CliError(f"unknown suite {args.suite!r}; available: {', '.join(SUITES)}")
     if args.samples < 1:
         raise CliError("--samples must be at least 1")
-    alphabet = _alphabet(args, fallback={"a", "b"})
-    bounds = _bounds(args, alphabet)
+    bounds = _bounds(args, _alphabet(args) or {"a", "b"})
     reports = run_suite(args.suite, bounds, seed=args.seed, samples=args.samples)
     if args.json:
         _emit([r.to_dict() for r in reports])

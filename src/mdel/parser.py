@@ -1,10 +1,17 @@
-"""Recursive-descent parser for the formula DSL.
+"""The input syntax of mdel: formulas, paths, theories and alphabets.
 
-Grammar (loosest to tightest): ``->`` (right-assoc), ``|``, ``&``, the binary
-temporal operators ``until/since/release/trigger`` (right-assoc), unary
-prefixes (``!``, the unary metric operators, ``<RHO>`` and ``[RHO]``), then
-primaries.  Intervals after an operator are optional and default to
-``(-w..w)``.  In path position a bare formula ``f`` abbreviates ``(f? ; step)``.
+A formula or theory file is read by :func:`formula_lines`: ``#`` starts a
+comment, and blank lines are skipped.  A theory is one formula per line,
+over a given alphabet or else over the atoms it mentions; the lines of a
+formula file make one formula.  An alphabet is a comma-separated list of
+atom names, kept in the given order (:func:`parse_alphabet`).
+
+Formulas and paths are read by recursive descent.  Grammar (loosest to
+tightest): ``->`` (right-assoc), ``|``, ``&``, the binary temporal operators
+``until/since/release/trigger`` (right-assoc), unary prefixes (``!``, the
+unary metric operators, ``<RHO>`` and ``[RHO]``), then primaries.  Intervals
+after an operator are optional and default to ``(-w..w)``.  In path position a
+bare formula ``f`` abbreviates ``(f? ; step)``.
 
 Nesting is limited to :data:`MAX_NESTING` levels, so that deep input is
 refused with a :class:`ParseError` instead of exhausting the interpreter's
@@ -304,31 +311,48 @@ class _Parser:
         raise formula_err or self.error("expected a path expression")
 
 
-def parse_formula(text: str, alphabet: Optional[Iterable[str]] = None) -> F.Formula:
-    """Parse one formula; atoms must belong to ``alphabet`` when given."""
+def _parse_whole(text: str, alphabet: Optional[Iterable[str]], rule):
+    """Parse all of ``text`` by ``rule``, a method of the parser."""
     p = _Parser(text, frozenset(alphabet) if alphabet is not None else None)
-    f = p.parse_formula()
+    out = rule(p)
     kind, val, pos = p.peek()
     if kind != "eof":
         raise ParseError(f"trailing input {val!r}", pos)
-    return f
+    return out
+
+
+def parse_formula(text: str, alphabet: Optional[Iterable[str]] = None) -> F.Formula:
+    """Parse one formula; atoms must belong to ``alphabet`` when given."""
+    return _parse_whole(text, alphabet, _Parser.parse_formula)
 
 
 def parse_path(text: str, alphabet: Optional[Iterable[str]] = None) -> F.PathExpr:
-    p = _Parser(text, frozenset(alphabet) if alphabet is not None else None)
-    rho = p.parse_path()
-    kind, val, pos = p.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {val!r}", pos)
-    return rho
+    return _parse_whole(text, alphabet, _Parser.parse_path)
 
 
-def parse_theory(text: str, alphabet: Iterable[str]) -> F.Theory:
-    """One formula per non-blank line; '#' starts a comment."""
-    alphabet = frozenset(alphabet)
-    out = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            out.append(parse_formula(line, alphabet))
-    return F.Theory(tuple(out), alphabet)
+def formula_lines(text: str) -> list:
+    """The non-blank lines of ``text``, stripped, with ``#`` comments cut."""
+    lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return [line for line in lines if line]
+
+
+def parse_alphabet(text: str) -> tuple:
+    """The comma-separated atom names of ``text``, in the given order."""
+    atoms = tuple(a.strip() for a in text.split(",") if a.strip())
+    if not atoms:
+        raise ValueError("empty alphabet")
+    for a in atoms:
+        if not is_atom_name(a):
+            raise ValueError(f"{a!r} is not an atom name a formula can mention")
+    return atoms
+
+
+def parse_theory(text: str, alphabet: Optional[Iterable[str]] = None) -> F.Theory:
+    """One formula per line of :func:`formula_lines`, over ``alphabet`` when
+    given and else over the atoms the formulas mention."""
+    if alphabet is not None:
+        alphabet = frozenset(alphabet)
+    formulas = tuple(parse_formula(line, alphabet) for line in formula_lines(text))
+    if alphabet is None:
+        alphabet = frozenset().union(*map(F.atoms_of, formulas))
+    return F.Theory(formulas, alphabet)

@@ -9,9 +9,12 @@ import tempfile
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import mdel.cli
+import mdel.parser
 from mdel.cli import main
 from mdel.formulas import pretty_print
 from mdel.laws import random_formula
+from mdel.sos import RESCALED, sos_theory
 
 TRACE_43 = json.dumps({"alphabet": ["a", "b"], "lambda": 3, "tau": [0, 1, 4],
                        "there": [["a"], [], []]})
@@ -368,3 +371,72 @@ def test_check_atom_outside_the_alphabet_exit_two(files, capsys, doc):
     code, out, err = run(capsys, "check", files("f.mdel", "a\n"), trace)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# -- each input is read once, and an atomless input is read over {a} ----------------
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Count the formulas parsed, wherever parse_formula is bound by name."""
+    calls = []
+    original = mdel.parser.parse_formula
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in (mdel.parser, mdel.cli):
+        monkeypatch.setattr(module, "parse_formula", counting)
+    return calls
+
+
+def test_models_and_equiv_parse_each_formula_once(files, capsys, parse_calls):
+    lines = [pretty_print(f) for f in sos_theory(RESCALED).formulas]
+    theory = files("sos.mdel", "\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "models", theory, "--lambda-max", "2", "--count-only")
+    assert (code, out.splitlines()[-1]) == (0, "total: 0")
+    assert parse_calls == lines
+    del parse_calls[:]
+    fa = files("fa.mdel", "ev [0..2] a\n")
+    fb = files("fb.mdel", "<step*>[0..2] a\n")
+    code, _, _ = run(capsys, "equiv", fa, fb, "--lambda-max", "2")
+    assert code == 0 and len(parse_calls) == 2
+
+
+@pytest.mark.parametrize("text", ["# nothing\n", "top\nev top\n", "ev[1..2] top\n"])
+def test_models_on_an_atomless_theory_run_over_a(files, capsys, text):
+    theory = files("th.mdel", text)
+    flags = ("--lambda-max", "3", "--max-gap", "2")
+    code, out, err = run(capsys, "models", theory, *flags)
+    assert (code, err) == (0, "")
+    assert run(capsys, "models", theory, *flags, "--alphabet", "a") == (code, out, err)
+    code, out, _ = run(capsys, "models", theory, *flags, "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["total"] > 0
+    assert {tuple(m["alphabet"]) for m in doc["models"]} == {("a",)}
+    assert all(state == [] for m in doc["models"] for state in m["there"])
+
+
+def test_equiv_on_atomless_formulas_runs_over_a(files, capsys):
+    fa = files("fa.mdel", "top\n")
+    fb = files("fb.mdel", "# a comment\n!bot\n")
+    code, out, _ = run(capsys, "equiv", fa, fb, "--lambda-max", "2", "--max-gap", "1",
+                       "--json")
+    assert code == 0
+    over_a = run(capsys, "equiv", fa, fb, "--lambda-max", "2", "--max-gap", "1", "--json",
+                 "--alphabet", "a")
+    assert over_a == (0, out, "")
+    code, out, _ = run(capsys, "equiv", fa, files("fc.mdel", "final\n"), "--lambda-max", "2",
+                       "--max-gap", "1")
+    assert code == 1
+    assert json.loads(out.splitlines()[2])["alphabet"] == ["a"]
+
+
+@pytest.mark.parametrize("command", ["check", "equiv"])
+def test_formula_file_of_only_comments_exit_two(files, capsys, command):
+    formula = files("f.mdel", "# only\n\n   # comments\n")
+    other = files("t.json", TRACE_43) if command == "check" else files("g.mdel", "a\n")
+    code, out, err = run(capsys, command, formula, other)
+    assert (code, out) == (2, "")
+    assert err == f"error: {formula} contains no formula\n"

@@ -11,7 +11,8 @@ from mdel.formulas import (
 from mdel.intervals import Interval, UNTIMED
 from mdel.laws import random_formula
 from mdel.parser import (
-    KEYWORDS, MAX_NESTING, ParseError, is_atom_name, parse_formula, parse_path, parse_theory,
+    KEYWORDS, MAX_NESTING, ParseError, formula_lines, is_atom_name, parse_alphabet, parse_formula,
+    parse_path, parse_theory,
 )
 
 AB = frozenset({"a", "b", "h"})
@@ -125,6 +126,38 @@ def test_parse_theory_lines_and_comments():
     th = parse_theory("# comment\na -> b\n\nev a  # trailing\n", AB)
     assert len(th.formulas) == 2
     assert th.alphabet == AB
+
+
+def test_parse_theory_infers_the_atoms_without_an_alphabet():
+    th = parse_theory("# comment\nalw (a -> next b)\nev x_1  # trailing\n")
+    assert th.alphabet == {"a", "b", "x_1"}
+    assert th.formulas == parse_theory("alw (a -> next b)\nev x_1", AB | {"x_1"}).formulas
+    assert parse_theory("top\nev [1..2] top").alphabet == frozenset()
+    assert parse_theory("# nothing\n") == Theory((), ())
+
+
+def test_formula_lines_cut_comments_and_blank_lines():
+    text = "# header\n  a -> b  # trailing\n\n   \n#\nev a#no space\n  # indented\n"
+    assert formula_lines(text) == ["a -> b", "ev a"]
+    assert formula_lines("a\r\nb") == ["a", "b"]
+    assert formula_lines("# only\n\n# comments") == []
+
+
+def test_parse_alphabet_keeps_the_given_order():
+    assert parse_alphabet("b, a ,x_1") == ("b", "a", "x_1")
+    assert parse_alphabet("s,a,h,") == ("s", "a", "h")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty alphabet"),
+    (",,", "empty alphabet"),
+    ("a,B", "'B' is not an atom name a formula can mention"),
+    ("ev", "'ev' is not an atom name a formula can mention"),
+])
+def test_parse_alphabet_refusals(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_alphabet(text)
+    assert str(exc.value) == message
 
 
 def test_theory_rejects_foreign_atoms():
